@@ -14,11 +14,11 @@ Gaussian side that PR 1 already vectorised; ``fit_seconds`` is the
 end-to-end :meth:`JointTextureTopicModel.fit` wall-clock measured per
 (kernel, K) on the primary corpus — every trajectory row records it
 (the old layout measured K = 10 only and left ``null`` holes the smoke
-test now rejects). The grid covers K ∈ {10, 50, 200} across all four
-kernels and a small corpus-size axis, because the kernels rank
-differently along both: ``dense`` owns small K, ``alias`` owns large K
-until the V×K table footprint blows up, where ``sparse`` takes over
-(see :func:`repro.core.kernels.select_kernel`).
+test now rejects). The grid covers K ∈ {10, 50, 200} for both kernels
+and a small corpus-size axis, because the kernels rank differently
+along both: ``alias`` is O(1) per token and pulls away as K grows,
+while ``dense`` stays the bit-identical default at small K (see
+:func:`repro.core.kernels.select_kernel`).
 
 Throughput floors live in ``benchmarks/sampler_floor.json`` as a
 per-(kernel, K) matrix plus a shared ``tolerance`` factor; the CI smoke
@@ -27,7 +27,7 @@ the offending (kernel, K) cell on failure.
 
 Run modes:
 
-* ``python benchmarks/bench_sampler_kernels.py`` — full bench preset
+* ``python -m benchmarks.bench_sampler_kernels`` — full bench preset
   (3,000 + 12,000 synthetic recipes, 30 sweeps per cell), prints a
   table and appends trajectory records.
 * ``REPRO_BENCH_TINY=1 pytest benchmarks/bench_sampler_kernels.py`` —
@@ -44,12 +44,11 @@ from __future__ import annotations
 
 import json
 import os
-import subprocess
 import time
-from pathlib import Path
 
 import numpy as np
 
+from benchmarks.common import REPO_ROOT, append_trajectory, git_commit
 from repro.core.joint_model import JointModelConfig, JointTextureTopicModel
 from repro.core.kernels import CSRTokens, make_kernel
 from repro.core.priors import DirichletPrior
@@ -72,11 +71,10 @@ SIZE_GRID = (450,) if _TINY else (3000, 12000)
 N_SWEEPS = 4 if _TINY else 30
 FIT_SWEEPS = 6 if _TINY else 40
 TOPIC_GRID = (10, 50, 200)
-KERNEL_GRID = ("legacy", "dense", "sparse", "alias")
+KERNEL_GRID = ("dense", "alias")
 
-_ROOT = Path(__file__).resolve().parent.parent
-TRAJECTORY_PATH = _ROOT / "BENCH_sampler.json"
-FLOOR_PATH = _ROOT / "benchmarks" / "sampler_floor.json"
+TRAJECTORY_PATH = REPO_ROOT / "BENCH_sampler.json"
+FLOOR_PATH = REPO_ROOT / "benchmarks" / "sampler_floor.json"
 
 
 def bench_docs(n_recipes: int, seed: int = BENCH_SEED):
@@ -86,17 +84,6 @@ def bench_docs(n_recipes: int, seed: int = BENCH_SEED):
     )
     builder = DatasetBuilder(use_w2v_filter=False)
     return builder.build(corpus.recipes, rng=7)
-
-
-def _git_commit() -> str:
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            cwd=_ROOT, capture_output=True, text=True, timeout=10,
-        )
-        return out.stdout.strip() or "unknown"
-    except OSError:  # repro: noqa[EXC001] - bench must run outside git checkouts too
-        return "unknown"
 
 
 def _measure_task(payload, rng):
@@ -164,18 +151,9 @@ def measure_fit(dataset, kernel: str, n_topics: int) -> float:
     return float(seconds)
 
 
-def append_trajectory(records: list[dict]) -> None:
-    """Append perf records to the committed BENCH_sampler.json trajectory."""
-    trajectory = []
-    if TRAJECTORY_PATH.exists():
-        trajectory = json.loads(TRAJECTORY_PATH.read_text())
-    trajectory.extend(records)
-    TRAJECTORY_PATH.write_text(json.dumps(trajectory, indent=2) + "\n")
-
-
 def run_bench(write_trajectory: bool = True) -> list[dict]:
     """Measure the full matrix, report, and append trajectory records."""
-    commit = _git_commit()
+    commit = git_commit()
     records = []
     for size_index, n_recipes in enumerate(SIZE_GRID):
         dataset = bench_docs(n_recipes)
@@ -204,7 +182,7 @@ def run_bench(write_trajectory: bool = True) -> list[dict]:
                 }
             )
     if write_trajectory:
-        append_trajectory(records)
+        append_trajectory(TRAJECTORY_PATH, records)
     return records
 
 
@@ -238,25 +216,20 @@ def load_floors() -> tuple[float, dict[tuple[str, int], float]]:
 def render(records: list[dict]) -> str:
     lines = [
         f"{'recipes':>8} {'kernel':<8} {'K':>4} {'tokens/s':>12} "
-        f"{'vs legacy':>10} {'fit (s)':>8}"
+        f"{'fit (s)':>8}"
     ]
     for n_recipes in sorted({r["n_recipes"] for r in records}):
         rows = [r for r in records if r["n_recipes"] == n_recipes]
         for n_topics in sorted({r["n_topics"] for r in rows}):
             cells = _by_kernel(rows, n_topics)
-            legacy = cells.get("legacy", {}).get("tokens_per_sec")
             for kernel in KERNEL_GRID:
                 if kernel not in cells:
                     continue
                 cell = cells[kernel]
-                ratio = (
-                    f"{cell['tokens_per_sec'] / legacy:9.2f}x"
-                    if legacy else "-"
-                )
                 fit = cell.get("fit_seconds")
                 lines.append(
                     f"{n_recipes:>8} {kernel:<8} {n_topics:>4} "
-                    f"{cell['tokens_per_sec']:>12,.0f} {ratio:>10} "
+                    f"{cell['tokens_per_sec']:>12,.0f} "
                     f"{fit if fit is not None else '-':>8}"
                 )
     return "\n".join(lines)
@@ -299,17 +272,6 @@ def test_kernel_matrix_meets_floors():
             f"(floor {floor:,.0f})"
         )
     assert not failures, "kernel throughput regressed:\n" + "\n".join(failures)
-
-
-def test_dense_kernel_faster_than_legacy():
-    """Dense must clearly beat the legacy loop at the bench K."""
-    dataset = bench_docs(SIZE_GRID[0])
-    cells = _by_kernel(measure_sweeps(dataset, topic_grid=(10,)), 10)
-    dense = cells["dense"]["tokens_per_sec"]
-    legacy = cells["legacy"]["tokens_per_sec"]
-    print(f"\ndense {dense:,.0f} vs legacy {legacy:,.0f} tokens/s "
-          f"({dense / legacy:.2f}x)")
-    assert dense > 1.5 * legacy
 
 
 def test_alias_kernel_flat_in_k():

@@ -18,7 +18,7 @@ under this load (from the ``serve.batch_size`` histogram delta).
 
 Run modes:
 
-* ``python benchmarks/bench_serve.py`` — full bench preset, prints a
+* ``python -m benchmarks.bench_serve`` — full bench preset, prints a
   summary and appends a trajectory record.
 * ``REPRO_BENCH_TINY=1 pytest benchmarks/bench_serve.py`` — CI smoke:
   the shared tiny pipeline (250 recipes, 20 sweeps, seed 3), fewer
@@ -35,12 +35,11 @@ from __future__ import annotations
 
 import json
 import os
-import subprocess
 import threading
 import time
 import urllib.request
-from pathlib import Path
 
+from benchmarks.common import REPO_ROOT, append_trajectory, git_commit
 from repro.obs import metrics
 from repro.pipeline.experiment import quick_config, run_experiment
 from repro.serve import (
@@ -61,9 +60,8 @@ MAX_BATCH = 8
 N_RECIPES = 250 if _TINY else 600
 N_FIT_SWEEPS = 20 if _TINY else 60
 
-_ROOT = Path(__file__).resolve().parent.parent
-TRAJECTORY_PATH = _ROOT / "BENCH_serve.json"
-FLOOR_PATH = _ROOT / "benchmarks" / "serve_floor.json"
+TRAJECTORY_PATH = REPO_ROOT / "BENCH_serve.json"
+FLOOR_PATH = REPO_ROOT / "benchmarks" / "serve_floor.json"
 
 #: Distinct gel compositions: every request body hashes to its own seed.
 REQUEST_BODIES = [
@@ -97,31 +95,6 @@ REQUEST_BODIES = [
         "description": "a sticky mixed-gel dessert",
     },
 ]
-
-
-def _git_commit() -> str:
-    """Short hash of the worktree the bench actually measured.
-
-    A ``-dirty`` suffix marks uncommitted changes, so a trajectory row
-    can never silently impersonate the commit it diverged from.
-    """
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            cwd=_ROOT, capture_output=True, text=True, timeout=10,
-        )
-        commit = out.stdout.strip()
-        if not commit:
-            return "unknown"
-        status = subprocess.run(
-            ["git", "status", "--porcelain"],
-            cwd=_ROOT, capture_output=True, text=True, timeout=10,
-        )
-        if status.stdout.strip():
-            commit += "-dirty"
-        return commit
-    except OSError:  # repro: noqa[EXC001] - bench must run outside git checkouts too
-        return "unknown"
 
 
 def build_engine() -> InferenceEngine:
@@ -228,24 +201,15 @@ def measure(
     }
 
 
-def append_trajectory(record: dict) -> None:
-    """Append one perf record to the committed BENCH_serve.json."""
-    trajectory = []
-    if TRAJECTORY_PATH.exists():
-        trajectory = json.loads(TRAJECTORY_PATH.read_text())
-    trajectory.append(record)
-    TRAJECTORY_PATH.write_text(json.dumps(trajectory, indent=2) + "\n")
-
-
 def run_bench(write_trajectory: bool = True) -> dict:
     """Measure one load run, append it to the trajectory, return it."""
     record = {
-        "commit": _git_commit(),
+        "commit": git_commit(),
         "preset": "tiny" if _TINY else "full",
         **measure(),
     }
     if write_trajectory:
-        append_trajectory(record)
+        append_trajectory(TRAJECTORY_PATH, [record])
     return record
 
 

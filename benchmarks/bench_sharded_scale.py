@@ -1,25 +1,22 @@
-"""Sharded-corpus scale bench: out-of-core build + distributed AD-LDA.
+"""Sharded-corpus scale bench: out-of-core build + single-stream sweeps.
 
 The unsharded pipeline tops out where the corpus stops fitting in
 memory. This bench walks the whole sharded data path at large corpus
 sizes — streaming shard generation, per-shard featurisation, dataset
-merge, then a distributed AD-LDA fit — and records two things:
+merge — then sweeps the merged dataset single-stream with the ``alias``
+kernel, the one ``kernel="auto"`` picks at this K, and records two
+things:
 
 * throughput rows appended to the committed ``BENCH_sampler.json``
-  trajectory (kernel ``"adlda"`` rows additionally carry ``n_shards``
-  and ``peak_rss_mb``);
+  trajectory (these rows additionally carry ``n_shards``,
+  ``build_seconds`` and ``peak_rss_mb``);
 * the process peak RSS, asserted against the committed ceiling in
   ``benchmarks/memory_ceiling.json`` — the bound the sharded layer
   exists to hold.
 
-Environment knobs:
-
-* ``REPRO_BENCH_TINY=1`` — CI smoke preset: a 5,000-recipe corpus so
-  the module finishes in seconds; the full preset measures the paper's
-  above-scale point (200,000 recipes ≈ 3x the raw crawl of 63k).
-* ``REPRO_BENCH_BACKEND`` — executor backend for the shard sweeps
-  (default ``serial``: tokens/sec comparable with the single-stream
-  kernel rows; ``process`` measures true wall-clock scaling).
+``REPRO_BENCH_TINY=1`` selects the CI smoke preset: a 5,000-recipe
+corpus so the module finishes in seconds; the full preset measures the
+paper's above-scale point (200,000 recipes ≈ 3x the raw crawl of 63k).
 """
 
 from __future__ import annotations
@@ -27,49 +24,35 @@ from __future__ import annotations
 import json
 import os
 import resource
-import subprocess
 import time
-from pathlib import Path
 
 import numpy as np
 
+from benchmarks.common import REPO_ROOT, append_trajectory, git_commit
 from repro.core.kernels import CSRTokens, make_kernel
 from repro.core.priors import DirichletPrior
 from repro.core.state import TopicCounts, initialise_assignments
-from repro.parallel import ParallelConfig
 from repro.pipeline.dataset import DatasetBuilder, merge_datasets
 from repro.rng import ensure_rng
 from repro.synth.generator import CorpusGenerator
 from repro.synth.presets import CorpusPreset
 
 _TINY = os.environ.get("REPRO_BENCH_TINY") == "1"
-_BACKEND = os.environ.get("REPRO_BENCH_BACKEND", "serial")
-_ROOT = Path(__file__).resolve().parent.parent
 
 BENCH_SEED = 11
 N_RECIPES = 5_000 if _TINY else 200_000
 N_SHARDS = 4
 N_TOPICS = 50
 N_SWEEPS = 3
+KERNEL = "alias"
 
-TRAJECTORY_PATH = _ROOT / "BENCH_sampler.json"
-CEILING_PATH = _ROOT / "benchmarks" / "memory_ceiling.json"
+TRAJECTORY_PATH = REPO_ROOT / "BENCH_sampler.json"
+CEILING_PATH = REPO_ROOT / "benchmarks" / "memory_ceiling.json"
 
 
 def peak_rss_mb() -> float:
     """Process high-water RSS in MB (ru_maxrss is KB on Linux)."""
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-
-
-def _git_commit() -> str:
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            cwd=_ROOT, capture_output=True, text=True, timeout=10,
-        )
-        return out.stdout.strip() or "unknown"
-    except OSError:  # repro: noqa[EXC001] - bench must run outside git checkouts too
-        return "unknown"
 
 
 def build_sharded_dataset(n_recipes: int, n_shards: int, seed: int = BENCH_SEED):
@@ -90,7 +73,7 @@ def build_sharded_dataset(n_recipes: int, n_shards: int, seed: int = BENCH_SEED)
 
 
 def measure(n_recipes: int = N_RECIPES, n_shards: int = N_SHARDS) -> dict:
-    """One trajectory record for the sharded build + AD-LDA sweep cell."""
+    """One trajectory record for the sharded build + merged-sweep cell."""
     build_start = time.perf_counter()
     dataset = build_sharded_dataset(n_recipes, n_shards)
     build_seconds = time.perf_counter() - build_start
@@ -101,8 +84,7 @@ def measure(n_recipes: int = N_RECIPES, n_shards: int = N_SHARDS) -> dict:
     z = initialise_assignments(docs, counts, generator)
     alpha = DirichletPrior(1.0).vector(N_TOPICS)
     kernel = make_kernel(
-        "adlda", CSRTokens.from_docs(docs, z), counts, alpha, 0.1,
-        n_shards=n_shards, parallel=ParallelConfig(backend=_BACKEND),
+        KERNEL, CSRTokens.from_docs(docs, z), counts, alpha, 0.1
     )
     y = generator.integers(0, N_TOPICS, size=len(docs)).astype(np.int64)
     start = time.perf_counter()
@@ -111,10 +93,10 @@ def measure(n_recipes: int = N_RECIPES, n_shards: int = N_SHARDS) -> dict:
     elapsed = time.perf_counter() - start
     n_tokens = kernel.csr.n_tokens
     return {
-        "commit": _git_commit(),
+        "commit": git_commit(),
         "preset": "tiny" if _TINY else "full",
         "n_recipes": n_recipes,
-        "kernel": "adlda",
+        "kernel": KERNEL,
         "n_shards": n_shards,
         "n_topics": N_TOPICS,
         "n_tokens": n_tokens,
@@ -123,14 +105,6 @@ def measure(n_recipes: int = N_RECIPES, n_shards: int = N_SHARDS) -> dict:
         "fit_seconds": None,
         "peak_rss_mb": round(peak_rss_mb(), 1),
     }
-
-
-def append_trajectory(records: list[dict]) -> None:
-    trajectory = []
-    if TRAJECTORY_PATH.exists():
-        trajectory = json.loads(TRAJECTORY_PATH.read_text())
-    trajectory.extend(records)
-    TRAJECTORY_PATH.write_text(json.dumps(trajectory, indent=2) + "\n")
 
 
 def load_ceiling() -> float:
@@ -146,7 +120,7 @@ def test_sharded_scale_under_memory_ceiling():
     """Build + fit the bench corpus sharded; peak RSS must stay under
     the committed ceiling, and the throughput row joins the trajectory."""
     record = measure()
-    append_trajectory([record])
+    append_trajectory(TRAJECTORY_PATH, [record])
     ceiling = load_ceiling()
     print(
         f"\nsharded scale: {record['n_recipes']:,} recipes / "
@@ -163,5 +137,5 @@ def test_sharded_scale_under_memory_ceiling():
 
 if __name__ == "__main__":
     row = measure()
-    append_trajectory([row])
+    append_trajectory(TRAJECTORY_PATH, [row])
     print(json.dumps(row, indent=2))

@@ -1,15 +1,22 @@
-"""Shared pipeline for the table/figure benchmarks.
+"""Shared pipeline and trajectory helpers for the benchmarks.
 
 Every bench that needs a fitted model calls :func:`shared_result`, which
 runs the full paper pipeline once per process (via the experiment cache)
 at a scale large enough for stable topics but small enough for a laptop:
 3,000 synthetic recipes (≈1/20 of the paper's raw corpus, ≈1,500 dataset
 recipes after the Section IV-A funnel), K = 10 topics, 300 Gibbs sweeps.
+
+The perf benches append their rows to the committed ``BENCH_*.json``
+trajectories through :func:`append_trajectory`, each row tagged with
+:func:`git_commit`.
 """
 
 from __future__ import annotations
 
+import json
 import os
+import subprocess
+from pathlib import Path
 from typing import Sequence
 
 from repro.core.joint_model import JointModelConfig
@@ -18,6 +25,9 @@ from repro.pipeline.experiment import ExperimentConfig, ExperimentResult, run_ex
 from repro.synth.presets import CorpusPreset
 
 BENCH_SEED = 11
+
+#: Repository root: trajectories and floor files live relative to it.
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 #: Backend for benchmark repetitions (seed sweeps, robustness reruns).
 #: Overridable per run: REPRO_BENCH_BACKEND=process|thread|serial|auto.
@@ -73,3 +83,37 @@ def topic_gel_summary(result: ExperimentResult) -> dict[int, dict[str, float]]:
     from repro.pipeline.tables import table2a_rows
 
     return {row.topic: dict(row.gel_summary) for row in table2a_rows(result)}
+
+
+def git_commit() -> str:
+    """Short hash of the worktree the bench actually measured.
+
+    A ``-dirty`` suffix marks uncommitted changes, so a trajectory row
+    can never silently impersonate the commit it diverged from.
+    """
+    try:
+        out = subprocess.run(
+            ["git", "rev-parse", "--short", "HEAD"],
+            cwd=REPO_ROOT, capture_output=True, text=True, timeout=10,
+        )
+        commit = out.stdout.strip()
+        if not commit:
+            return "unknown"
+        status = subprocess.run(
+            ["git", "status", "--porcelain"],
+            cwd=REPO_ROOT, capture_output=True, text=True, timeout=10,
+        )
+        if status.stdout.strip():
+            commit += "-dirty"
+        return commit
+    except OSError:  # repro: noqa[EXC001] - bench must run outside git checkouts too
+        return "unknown"
+
+
+def append_trajectory(path: Path, records: Sequence[dict]) -> None:
+    """Append perf records to a committed ``BENCH_*.json`` trajectory."""
+    trajectory = []
+    if path.exists():
+        trajectory = json.loads(path.read_text())
+    trajectory.extend(records)
+    path.write_text(json.dumps(trajectory, indent=2) + "\n")

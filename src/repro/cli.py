@@ -175,8 +175,9 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="split the corpus into N content-hashed shards and run the "
-             "sharded out-of-core pipeline with a distributed N-shard "
-             "AD-LDA fit (default: 1, or planned from --max-resident-mb)",
+             "sharded out-of-core pipeline; the fit runs single-stream on "
+             "the merged dataset (default: 1, or planned from "
+             "--max-resident-mb)",
     )
     run.add_argument(
         "--max-resident-mb",
@@ -425,10 +426,8 @@ def _add_backend_flags(parser: argparse.ArgumentParser) -> None:
         default="dense",
         help=(
             "token-sampling kernel for the Gibbs z-sweep: dense "
-            "(default; bit-identical fast path), legacy (original "
-            "per-token numpy loop), sparse (SparseLDA buckets + alias "
-            "table), alias (LightLDA Metropolis-Hastings, O(1) per "
-            "token) or auto (pick from K and corpus shape)"
+            "(default; bit-identical fast path), alias (LightLDA "
+            "Metropolis-Hastings, O(1) per token) or auto (pick from K)"
         ),
     )
 
@@ -513,15 +512,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
         n_shards = plan_shards(args.recipes, args.max_resident_mb)
     if n_shards > 1:
-        # A sharded corpus gets the distributed fit to match: shard-local
-        # AD-LDA sweeps with the same shard count as the data layout.
-        config = dataclasses.replace(
-            config,
-            n_shards=n_shards,
-            model=dataclasses.replace(
-                config.model, kernel="adlda", n_shards=n_shards
-            ),
-        )
+        config = dataclasses.replace(config, n_shards=n_shards)
     config = _apply_parallel_options(config, args)
     result = run_experiment(config, cache_dir=args.cache_dir)
     manifest = result.provenance

@@ -358,16 +358,12 @@ class CollapsedJointModel:
         counts = TopicCounts(n_docs, k_range, vocab_size)
         z = initialise_assignments(docs, counts, generator)
         # Flatten the ragged corpus once; the kernel owns the z-sweep.
-        from repro.core.joint_model import _kernel_parallel
-
         kernel = make_kernel(
             cfg.kernel,
             CSRTokens.from_docs(docs, z),
             counts,
             alpha,
             gamma,
-            n_shards=cfg.n_shards,
-            parallel=_kernel_parallel(cfg),
         )
         if cfg.seed_y_with_kmeans:
             y = kmeans_plus_plus(gels, k_range, generator).astype(np.int64)

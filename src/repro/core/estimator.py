@@ -22,9 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from repro.core.linalg import guarded_inv
 from repro.core.linkage import TopicLinker
-from repro.core.normal_wishart import GaussianParams
 from repro.corpus.extraction import TextureTermExtractor
 from repro.corpus.features import RecipeFeatures, build_features
 from repro.corpus.recipe import Recipe
@@ -85,17 +83,7 @@ class TextureEstimator:
         self._term_ids = {s: i for i, s in enumerate(self.vocabulary)}
         self.dictionary = dictionary or build_dictionary()
         self._extractor = TextureTermExtractor(self.dictionary)
-        # Topic covariances floored exactly like the linker's: absent
-        # gels make raw covariances near-singular, which would let broad
-        # mixed topics dominate the fold-in posterior.
-        floor = (self.linker.point_sigma**2) * np.eye(3)
-        self._gel_params = [
-            GaussianParams(
-                mean=np.asarray(model.gel_means_)[k],
-                precision=guarded_inv(np.asarray(model.gel_covs_)[k] + floor),
-            )
-            for k in range(model.n_topics)
-        ]
+        self._gel_params = self.linker.gel_params()
         # Under the generative model a fresh document's topic prior is the
         # symmetric Dir(α) mean — uniform.
         self._log_prior = np.zeros(model.n_topics)

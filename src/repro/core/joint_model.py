@@ -77,21 +77,11 @@ class JointModelConfig:
     #: Worker cap for parallel backends (``None`` → one per CPU).
     n_workers: int | None = None
     #: Token-sampling kernel for the z-sweep: "dense" (default,
-    #: bit-identical to the historical per-token loop), "legacy" (that
-    #: loop itself, kept for benchmarking), "sparse" (SparseLDA
-    #: buckets + alias table), "alias" (LightLDA Metropolis–Hastings,
-    #: O(1) per token), "adlda" (AD-LDA distributed sweeps with
-    #: per-round count merges — see ``n_shards``) or "auto" (pick from
-    #: K and corpus shape). All but dense/legacy are statistically
-    #: equivalent to dense, not bit-identical. See
-    #: :mod:`repro.core.kernels`.
+    #: bit-identical to the historical per-token loop), "alias"
+    #: (LightLDA Metropolis–Hastings, O(1) per token; statistically
+    #: equivalent to dense, not bit-identical) or "auto" (pick from K).
+    #: See :mod:`repro.core.kernels`.
     kernel: str = "dense"
-    #: Document shards for the "adlda" kernel (``None`` → min(4, D)).
-    #: The shard fan-out runs on this config's ``backend``/``n_workers``
-    #: executor; combining ``kernel="adlda"`` with ``n_restarts > 1`` on
-    #: a process backend nests pools and is not recommended. Ignored by
-    #: every other kernel.
-    n_shards: int | None = None
     #: Cache the per-topic terms of the y-draw between sweeps, keyed on
     #: the sufficient statistics that feed them, so only topics whose
     #: membership changed are recomputed. Bit-identical to the uncached
@@ -117,19 +107,6 @@ class JointModelConfig:
             raise ModelError("n_workers must be >= 1")
         if self.kernel not in KERNEL_CHOICES:
             raise ModelError(f"unknown sampling kernel {self.kernel!r}")
-        if self.n_shards is not None and self.n_shards < 1:
-            raise ModelError("n_shards must be >= 1")
-
-
-def _kernel_parallel(config: "JointModelConfig"):
-    """Executor config for the adlda kernel's shard fan-out (else None)."""
-    if config.kernel != "adlda":
-        return None
-    from repro.parallel import ParallelConfig
-
-    return ParallelConfig(
-        backend=config.backend, max_workers=config.n_workers
-    )
 
 
 def _restart_task(payload, rng) -> tuple["JointTextureTopicModel", dict]:
@@ -303,8 +280,6 @@ class JointTextureTopicModel:
             counts,
             alpha,
             gamma,
-            n_shards=cfg.n_shards,
-            parallel=_kernel_parallel(cfg),
         )
         # Seed y with k-means++ on the gel vectors (see repro.core.seeding
         # for why a uniform start mixes badly) unless configured otherwise.

@@ -9,23 +9,13 @@ the token back. This module centralises that sweep behind a small
 kernel interface so the models share one implementation instead of
 three hand-rolled loops:
 
-``"legacy"``
-    The original per-token numpy loop, kept verbatim for benchmarking
-    and as the bit-identity reference.
 ``"dense"`` (default)
-    The same arithmetic restructured as a flat CSR sweep with
-    preallocated buffers and in-place count updates — no per-token
-    numpy temporaries. It consumes the *same* uniforms in the *same*
-    order and performs the *same* IEEE float operations as the legacy
-    loop, so fitted models are bit-identical to the legacy kernel.
-``"sparse"``
-    A SparseLDA-style bucket decomposition (Yao, Mimno & McCallum,
-    KDD'09): per token only the nonzero ``n_dk`` / ``n_kv`` entries are
-    visited and the dense smoothing residual is drawn from a Walker
-    alias table refreshed on a staleness budget. Statistically
-    equivalent to the dense kernel but *not* bit-identical (it spends
-    randomness differently); it wins when ``n_topics`` is large
-    relative to the per-word topic support.
+    The original per-token numpy loop restructured as a flat CSR sweep
+    with preallocated buffers and in-place count updates — no
+    per-token numpy temporaries. It consumes the *same* uniforms in the
+    *same* order and performs the *same* IEEE float operations as that
+    loop (which the test suite keeps as the bit-identity oracle), so
+    fitted models are bit-identical to the historical sampler.
 ``"alias"``
     A LightLDA-style Metropolis–Hastings kernel (Yuan et al., WWW'15):
     per token one O(1) proposal — drawn from a cached per-word Walker
@@ -33,17 +23,9 @@ three hand-rolled loops:
     cycle by cycle — followed by an exact acceptance test against the
     true collapsed conditional. Amortised O(1) per token independent
     of K; statistically equivalent, not bit-identical.
-``"adlda"``
-    Approximate Distributed LDA (Newman et al., JMLR'09): documents are
-    split into token-balanced shards, each sweep runs one shard-local
-    Gibbs sweep per shard — concurrently over
-    :func:`repro.parallel.run_tasks`, against a stale copy of the
-    global word-topic counts — then merges the shards' count deltas.
-    Statistically equivalent, not bit-identical; the fit path for
-    corpora too large for one serial sweep to be practical.
 ``"auto"``
     Not a kernel but a selection policy: :func:`select_kernel` picks
-    dense, sparse or alias from K and the corpus statistics.
+    dense or alias from K.
 
 Kernel objects are built **once per fit**: the ragged ``docs`` list is
 flattened into contiguous CSR-style arrays (``token_words``,
@@ -60,7 +42,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -69,35 +51,26 @@ from repro.errors import ModelError
 from repro.obs import metrics, trace
 from repro.obs.log import get_logger
 
-if TYPE_CHECKING:  # import cycle guard: repro.parallel traces via repro.obs
-    from repro.parallel import ParallelConfig
-
 logger = get_logger("repro.core.kernels")
 
 #: Recognised kernel names, in documentation order.
-KERNELS: tuple[str, ...] = ("adlda", "alias", "dense", "legacy", "sparse")
+KERNELS: tuple[str, ...] = ("alias", "dense")
 
 #: Everything a ``kernel=`` config field accepts: a concrete kernel or
 #: the "auto" selection policy resolved by :func:`make_kernel`.
 KERNEL_CHOICES: tuple[str, ...] = KERNELS + ("auto",)
 
-#: Token moves between Walker-alias rebuilds of the sparse kernel's
-#: smoothing bucket. The bucket's *mass* is always exact — the budget
-#: only bounds how stale the within-bucket distribution may get.
-ALIAS_REFRESH_DEFAULT: int = 2048
-
 
 def build_alias_table(
     weights: Sequence[float], prob: list[float], alias: list[int]
-) -> float:
+) -> None:
     """Fill ``prob``/``alias`` with Walker's alias decomposition.
 
     ``weights`` are unnormalised positive masses; after the call, the
     draw ``slot = int(u * n); slot if u * n - slot < prob[slot] else
     alias[slot]`` samples index ``k`` with probability
     ``weights[k] / sum(weights)`` (to within float rounding of the
-    table construction). Returns the total mass so callers tracking an
-    exact bucket mass can resync it from the same pass.
+    table construction).
     """
     total = sum(weights)
     n = len(weights)
@@ -114,7 +87,6 @@ def build_alias_table(
         prob[k], alias[k] = 1.0, k
     for k in small:
         prob[k], alias[k] = 1.0, k
-    return total
 
 
 def sample_from_cumulative(cumulative: np.ndarray, uniform: float) -> int:
@@ -179,23 +151,6 @@ class CSRTokens:
                 topics[start:end] = np.asarray(z[d], dtype=np.int32)
         return cls(token_words=words, token_topics=topics, doc_offsets=offsets)
 
-    def shard(self, lo: int, hi: int) -> "CSRTokens":
-        """Tokens of documents ``[lo, hi)``, offsets rebased to local 0.
-
-        Word/topic arrays are views into the parent (cheap; pickling for
-        a process worker copies them), offsets are a fresh rebased array.
-        """
-        if not 0 <= lo < hi <= self.n_docs:
-            raise ModelError(
-                f"shard bounds [{lo}, {hi}) outside [0, {self.n_docs}]"
-            )
-        t0, t1 = int(self.doc_offsets[lo]), int(self.doc_offsets[hi])
-        return CSRTokens(
-            token_words=self.token_words[t0:t1],
-            token_topics=self.token_topics[t0:t1],
-            doc_offsets=self.doc_offsets[lo:hi + 1] - t0,
-        )
-
     def words_per_doc(self) -> list[np.ndarray]:
         """Un-flatten the word ids back into per-document arrays."""
         return self._split(self.token_words)
@@ -255,56 +210,13 @@ class TokenKernel:
         raise NotImplementedError
 
 
-class LegacyKernel(TokenKernel):
-    """The original per-token numpy loop, verbatim.
-
-    Allocates several O(K) numpy temporaries per token; kept as the
-    benchmark baseline and the reference the dense kernel must match
-    bit-for-bit.
-    """
-
-    name = "legacy"
-
-    def sweep(
-        self, generator: np.random.Generator, y: np.ndarray | None = None
-    ) -> None:
-        counts = self.counts
-        alpha, gamma, v_total = self.alpha, self.gamma, self.v_total
-        offsets = self.csr.doc_offsets
-        token_words = self.csr.token_words
-        token_topics = self.csr.token_topics
-        for d in range(self.csr.n_docs):
-            start, end = int(offsets[d]), int(offsets[d + 1])
-            words = token_words[start:end]
-            zd = token_topics[start:end]
-            uniforms = generator.random(end - start)
-            y_d = -1 if y is None else int(y[d])
-            for n, v in enumerate(words):
-                k_old = int(zd[n])
-                counts.remove(d, k_old, int(v))
-                if y_d >= 0:
-                    weights = (counts.n_dk[d] + alpha).astype(float)
-                    weights[y_d] += 1.0  # the M_dk term
-                    weights *= (counts.n_kv[:, v] + gamma) / (
-                        counts.n_k + v_total
-                    )
-                else:
-                    weights = (counts.n_dk[d] + alpha) * (
-                        (counts.n_kv[:, v] + gamma) / (counts.n_k + v_total)
-                    )
-                cumulative = np.cumsum(weights)
-                k_new = sample_from_cumulative(cumulative, uniforms[n])
-                zd[n] = k_new
-                counts.add(d, k_new, int(v))
-
-
 class DenseKernel(TokenKernel):
     """Flat CSR sweep with zero per-token allocations, bit-identical.
 
     The count matrices are mirrored into flat Python lists once at
     construction; the hot loop then runs entirely on list indexing and
     scalar float arithmetic. Per token it performs *exactly* the IEEE
-    operations of the legacy loop in the same order —
+    operations of the original per-token loop in the same order —
     ``(n_dk + α) [+ 1.0 at y_d]`` times ``(n_kv + γ) / (n_k + γV)``,
     sequential cumulative sum, left-``searchsorted`` draw — so the
     sampled trajectory is bit-identical while avoiding all per-token
@@ -386,7 +298,7 @@ class DenseKernel(TokenKernel):
         for d in range(self.csr.n_docs):
             start, end = offsets[d], offsets[d + 1]
             # One batched uniform draw per document — the exact RNG
-            # consumption pattern of the legacy loop (including empty
+            # consumption pattern of the original loop (including empty
             # documents, which draw a length-0 batch).
             uniforms = generator.random(end - start).tolist()
             row = ndk[d]
@@ -484,249 +396,6 @@ class DenseKernel(TokenKernel):
         else:
             counts.n_dk[...] = self._ndk
         counts.n_kv.T[...] = self._nvk
-        counts.n_k[...] = self._nk
-        self.csr.token_topics[...] = self._topics
-
-
-class SparseKernel(TokenKernel):
-    """SparseLDA bucket sweep with a Walker-alias smoothing fallback.
-
-    Per token the unnormalised weight factors exactly into three
-    buckets (write ``n'_dk = n_dk + M_dk`` for the boosted doc count)::
-
-        w_k = (n'_dk + α_k)(n_kv + γ) / (n_k + γV)
-            =  q_k            topic-word bucket, nonzero only where n_kv > 0
-            +  r_k            document bucket,   nonzero only where n'_dk > 0
-            +  s_k            smoothing bucket,  dense but tiny and slow-moving
-
-    with ``q_k = (n'_dk + α_k) n_kv / (n_k + γV)``,
-    ``r_k = n'_dk γ / (n_k + γV)`` and ``s_k = α_k γ / (n_k + γV)``.
-    The q bucket is rebuilt per token by iterating only the nonzero
-    ``n_kv`` entries (dict-of-counts mirrors of the columns), and its
-    mass is exact. The doc bucket's mass is maintained *incrementally*
-    — per token move only the ``k_old``/``k_new`` terms change — and
-    recomputed exactly at every document entry so float drift cannot
-    outlive one document; its topics are only materialised (a scan
-    over the document's nonzero topics) on an actual r-bucket hit.
-    The smoothing bucket's mass is maintained exactly too (it only
-    changes through ``n_k``), but *within* the bucket — hit with
-    probability ``s / (q + r + s)``, typically well under a percent —
-    topics are drawn from a Walker alias table that is allowed to go
-    stale for up to ``alias_refresh`` token moves before it is rebuilt
-    from the live counts. Statistically equivalent to the dense
-    kernel, not bit-identical: it spends randomness differently (one
-    extra uniform per smoothing-bucket hit) and sums the buckets in a
-    different order.
-    """
-
-    name = "sparse"
-
-    def __init__(
-        self,
-        csr: CSRTokens,
-        counts: TopicCounts,
-        alpha: np.ndarray,
-        gamma: float,
-        alias_refresh: int = ALIAS_REFRESH_DEFAULT,
-    ) -> None:
-        super().__init__(csr, counts, alpha, gamma)
-        if alias_refresh < 1:
-            raise ModelError("alias_refresh must be >= 1")
-        self._alias_refresh = alias_refresh
-        n_topics = self.n_topics
-        self._rows: list[dict[int, int]] = [
-            {k: int(c) for k, c in enumerate(row) if c}
-            for row in counts.n_dk
-        ]
-        self._cols: list[dict[int, int]] = [
-            {k: int(c) for k, c in enumerate(column) if c}
-            for column in counts.n_kv.T
-        ]
-        self._nk: list[int] = [int(c) for c in counts.n_k]
-        self._alpha_list: list[float] = [float(a) for a in self.alpha]
-        self._alpha_gamma: list[float] = [
-            float(a) * self.gamma for a in self.alpha
-        ]
-        self._words: list[int] = self.csr.token_words.tolist()
-        self._topics: list[int] = self.csr.token_topics.tolist()
-        self._offsets: list[int] = self.csr.doc_offsets.tolist()
-        # Reusable per-token q-bucket buffers (topic ids + cumulative mass).
-        self._bucket_topics: list[int] = [0] * n_topics
-        self._bucket_cum: list[float] = [0.0] * n_topics
-        # Walker alias table over the smoothing bucket.
-        self._alias_prob: list[float] = [1.0] * n_topics
-        self._alias_topic: list[int] = list(range(n_topics))
-        self._alias_age = self._alias_refresh  # force a first build
-        self._smooth_mass = 0.0
-        #: Lifetime count of alias-table rebuilds (observability surface;
-        #: the tracer reports the per-sweep delta).
-        self.alias_refreshes: int = 0
-        self._rebuild_smoothing()
-
-    # -- smoothing bucket -------------------------------------------------
-
-    def _smoothing_terms(self) -> list[float]:
-        v_total, nk = self.v_total, self._nk
-        return [
-            ag / (n + v_total) for ag, n in zip(self._alpha_gamma, nk)
-        ]
-
-    def _rebuild_smoothing(self) -> None:
-        """Rebuild the alias table and resync the exact smoothing mass.
-
-        Also the drift kill-switch: the incrementally-maintained mass is
-        replaced by a fresh sum every rebuild, so float error cannot
-        accumulate past one staleness window.
-        """
-        self._smooth_mass = build_alias_table(
-            self._smoothing_terms(), self._alias_prob, self._alias_topic
-        )
-        self._alias_age = 0
-        self.alias_refreshes += 1
-
-    def _draw_smoothing(self, generator: np.random.Generator) -> int:
-        if self._alias_age >= self._alias_refresh:
-            self._rebuild_smoothing()
-        n_topics = len(self._alias_prob)
-        u = generator.random() * n_topics
-        slot = int(u)
-        if slot >= n_topics:  # u == n_topics is a measure-zero boundary
-            slot = n_topics - 1
-        if u - slot < self._alias_prob[slot]:
-            return slot
-        return self._alias_topic[slot]
-
-    # -- the sweep --------------------------------------------------------
-
-    def sweep(
-        self, generator: np.random.Generator, y: np.ndarray | None = None
-    ) -> None:
-        rows, cols, nk = self._rows, self._cols, self._nk
-        alpha, alpha_gamma = self._alpha_list, self._alpha_gamma
-        gamma, v_total = self.gamma, self.v_total
-        words, topics, offsets = self._words, self._topics, self._offsets
-        q_topics, q_cum = self._bucket_topics, self._bucket_cum
-        refreshes_before = self.alias_refreshes
-        self._rebuild_smoothing()
-        for d in range(self.csr.n_docs):
-            start, end = offsets[d], offsets[d + 1]
-            uniforms = generator.random(end - start).tolist()
-            row = rows[d]
-            y_d = -1 if y is None else int(y[d])
-            # Exact doc-bucket mass at document entry — the drift
-            # kill-switch for the incremental ±term updates below, so
-            # float error cannot outlive one document.
-            r_total = 0.0
-            for k, c in row.items():
-                boosted = c + 1.0 if k == y_d else c
-                r_total += boosted * gamma / (nk[k] + v_total)
-            if y_d >= 0 and y_d not in row:
-                r_total += gamma / (nk[y_d] + v_total)
-            t = start
-            for u in uniforms:
-                v = words[t]
-                k_old = topics[t]
-                column = cols[v]
-                # remove the token (the -dn superscript), keeping the
-                # smoothing and doc-bucket masses exact under the change
-                boost_old = 1.0 if k_old == y_d else 0.0
-                count = row[k_old]
-                r_total -= (count + boost_old) * gamma / (
-                    nk[k_old] + v_total
-                )
-                count -= 1
-                if count:
-                    row[k_old] = count
-                else:
-                    del row[k_old]
-                ccount = column[k_old] - 1
-                if ccount:
-                    column[k_old] = ccount
-                else:
-                    del column[k_old]
-                n_old = nk[k_old]
-                nk[k_old] = n_old - 1
-                self._smooth_mass += alpha_gamma[k_old] / (
-                    n_old - 1 + v_total
-                ) - alpha_gamma[k_old] / (n_old + v_total)
-                if count or boost_old:
-                    r_total += (count + boost_old) * gamma / (
-                        nk[k_old] + v_total
-                    )
-
-                # topic-word bucket q: nonzero n_kv only
-                q_total = 0.0
-                n_q = 0
-                for k, c in column.items():
-                    boosted = row.get(k, 0) + alpha[k]
-                    if k == y_d:
-                        boosted += 1.0
-                    q_total += boosted * c / (nk[k] + v_total)
-                    q_topics[n_q] = k
-                    q_cum[n_q] = q_total
-                    n_q += 1
-
-                target = u * (q_total + r_total + self._smooth_mass)
-                if target < q_total:
-                    k_new = q_topics[bisect_left(q_cum, target, 0, n_q)]
-                elif target - q_total < r_total:
-                    # materialise the doc bucket lazily — only on a hit
-                    rem = target - q_total
-                    acc = 0.0
-                    k_new = -1
-                    for k, c in row.items():
-                        boosted = c + 1.0 if k == y_d else c
-                        acc += boosted * gamma / (nk[k] + v_total)
-                        k_new = k
-                        if acc >= rem:
-                            break
-                    else:
-                        if y_d >= 0 and y_d not in row:
-                            k_new = y_d
-                    if k_new < 0:
-                        # drift pushed r_total above the true mass of an
-                        # empty bucket; fall through to the smoothing draw
-                        k_new = self._draw_smoothing(generator)
-                else:
-                    k_new = self._draw_smoothing(generator)
-
-                # add the token back under its new topic
-                topics[t] = k_new
-                boost_new = 1.0 if k_new == y_d else 0.0
-                count = row.get(k_new, 0)
-                if count or boost_new:
-                    r_total -= (count + boost_new) * gamma / (
-                        nk[k_new] + v_total
-                    )
-                row[k_new] = count + 1
-                column[k_new] = column.get(k_new, 0) + 1
-                n_old = nk[k_new]
-                nk[k_new] = n_old + 1
-                self._smooth_mass += alpha_gamma[k_new] / (
-                    n_old + 1 + v_total
-                ) - alpha_gamma[k_new] / (n_old + v_total)
-                r_total += (count + 1 + boost_new) * gamma / (
-                    nk[k_new] + v_total
-                )
-                self._alias_age += 1
-                t += 1
-        if trace.is_enabled():
-            metrics.registry.counter("kernel.alias_refresh").inc(
-                self.alias_refreshes - refreshes_before
-            )
-        self._sync_out()
-
-    def _sync_out(self) -> None:
-        """Write the sparse mirrors back into the numpy count state."""
-        counts = self.counts
-        counts.n_dk[...] = 0
-        for d, row in enumerate(self._rows):
-            for k, c in row.items():
-                counts.n_dk[d, k] = c
-        counts.n_kv[...] = 0
-        for v, column in enumerate(self._cols):
-            for k, c in column.items():
-                counts.n_kv[k, v] = c
         counts.n_k[...] = self._nk
         self.csr.token_topics[...] = self._topics
 
@@ -989,199 +658,22 @@ class AliasKernel(TokenKernel):
         self.csr.token_topics[...] = self._topics
 
 
-def shard_bounds(doc_offsets: np.ndarray, n_shards: int) -> list[tuple[int, int]]:
-    """Token-balanced contiguous document shards.
-
-    Splits ``[0, n_docs)`` into up to ``n_shards`` ranges whose token
-    counts are as equal as the document boundaries allow (documents are
-    never split across shards). Degenerate targets that would produce an
-    empty shard are merged away, so every returned range is non-empty.
-    """
-    n_docs = len(doc_offsets) - 1
-    n_tokens = int(doc_offsets[-1])
-    n_shards = max(1, min(int(n_shards), n_docs))
-    targets = np.linspace(0, n_tokens, n_shards + 1)
-    cuts = np.searchsorted(doc_offsets, targets, side="left")
-    cuts[0], cuts[-1] = 0, n_docs
-    bounds: list[tuple[int, int]] = []
-    lo = 0
-    for cut in cuts[1:]:
-        hi = int(cut)
-        if hi <= lo:
-            continue
-        bounds.append((lo, hi))
-        lo = hi
-    if bounds and bounds[-1][1] != n_docs:
-        lo, _ = bounds[-1]
-        bounds[-1] = (lo, n_docs)
-    return bounds or [(0, n_docs)]
-
-
-def _shard_sweep_task(payload, rng):
-    """One AD-LDA round on one shard (module-level for process pickling).
-
-    Rebuilds shard-local CSR state and counts from the payload — the
-    doc-topic rows are the shard's exact counts, the word-topic matrix a
-    *stale* copy of the global one — runs one inner-kernel sweep, and
-    returns ``(topics, n_dk, delta_n_kv)`` where the delta is measured
-    against the stale matrix so the parent can merge exactly.
-
-    Every array is copied before mutation, so thread and serial backends
-    never write through to the parent's live state mid-round.
-    """
-    words, topics, offsets, n_dk, n_d, n_kv, n_k, alpha, gamma, y, inner = payload
-    csr = CSRTokens(
-        token_words=np.asarray(words, dtype=np.int32).copy(),
-        token_topics=np.asarray(topics, dtype=np.int32).copy(),
-        doc_offsets=np.asarray(offsets, dtype=np.int32),
-    )
-    counts = TopicCounts(csr.n_docs, n_kv.shape[0], n_kv.shape[1])
-    counts.n_dk[:] = n_dk
-    counts.n_d[:] = n_d
-    counts.n_kv[:] = n_kv
-    counts.n_k[:] = n_k
-    kernel = make_kernel(inner, csr, counts, alpha, gamma)
-    kernel.sweep(rng, y)
-    delta = counts.n_kv - n_kv
-    return csr.token_topics.copy(), counts.n_dk.copy(), delta
-
-
-class DistributedKernel(TokenKernel):
-    """AD-LDA: shard-local sweeps with per-round topic-count merges.
-
-    Approximate Distributed LDA (Newman et al.): documents are split
-    into token-balanced contiguous shards; each :meth:`sweep` runs one
-    Gibbs sweep per shard *concurrently*, every shard sampling against a
-    stale copy of the global word-topic counts, then merges the shards'
-    count deltas back into the global matrices. Doc-topic rows are
-    disjoint across shards, so they stay exact; the word-topic matrix is
-    stale within a round and exact at every round boundary —
-    ``counts.check()`` passes after each sweep.
-
-    The result is statistically equivalent to a serial fit (pinned by
-    the same NMI harness as the sparse/alias kernels), not
-    bit-identical: within a round, shard ``i`` does not see shard
-    ``j``'s moves. Shards draw from per-shard RNG streams pre-spawned
-    from the sweep generator via :func:`repro.parallel.run_tasks`, so
-    the fit is deterministic and backend-independent; the backend
-    (serial / thread / process) comes from the ``parallel`` config.
-    """
-
-    name = "adlda"
-
-    def __init__(
-        self,
-        csr: CSRTokens,
-        counts: TopicCounts,
-        alpha: np.ndarray,
-        gamma: float,
-        n_shards: int | None = None,
-        parallel: "ParallelConfig | None" = None,
-        inner: str = "dense",
-    ) -> None:
-        from repro.parallel import ParallelConfig
-
-        super().__init__(csr, counts, alpha, gamma)
-        if n_shards is None:
-            n_shards = min(4, csr.n_docs)
-        if n_shards < 1:
-            raise ModelError("n_shards must be >= 1")
-        if inner in ("adlda", "auto"):
-            raise ModelError(f"invalid inner kernel {inner!r} for adlda")
-        self.parallel = parallel or ParallelConfig(backend="serial")
-        self.inner = inner
-        self.bounds = shard_bounds(csr.doc_offsets, n_shards)
-        self.n_shards = len(self.bounds)
-        # Shard token imbalance (max/mean shard size) is fixed by the
-        # bounds; computed once here, exported as a gauge per traced
-        # sweep so dashboards see it alongside the merge health.
-        shard_tokens = [
-            int(csr.doc_offsets[hi]) - int(csr.doc_offsets[lo])
-            for lo, hi in self.bounds
-        ]
-        mean_tokens = sum(shard_tokens) / max(1, len(shard_tokens))
-        self.shard_imbalance = (
-            max(shard_tokens) / mean_tokens if mean_tokens > 0 else 1.0
-        )
-
-    def sweep(
-        self, generator: np.random.Generator, y: np.ndarray | None = None
-    ) -> None:
-        from repro.parallel import run_tasks
-
-        counts, csr = self.counts, self.csr
-        payloads = []
-        for lo, hi in self.bounds:
-            shard_csr = csr.shard(lo, hi)
-            payloads.append(
-                (
-                    shard_csr.token_words,
-                    shard_csr.token_topics,
-                    shard_csr.doc_offsets,
-                    counts.n_dk[lo:hi],
-                    counts.n_d[lo:hi],
-                    counts.n_kv,
-                    counts.n_k,
-                    self.alpha,
-                    self.gamma,
-                    None if y is None else np.asarray(y)[lo:hi],
-                    self.inner,
-                )
-            )
-        results = run_tasks(
-            _shard_sweep_task, payloads, rng=generator, config=self.parallel
-        )
-        delta_total = np.zeros_like(counts.n_kv)
-        for (lo, hi), (topics, n_dk, delta) in zip(self.bounds, results):
-            t0, t1 = int(csr.doc_offsets[lo]), int(csr.doc_offsets[hi])
-            csr.token_topics[t0:t1] = topics
-            counts.n_dk[lo:hi] = n_dk
-            delta_total += delta
-        counts.n_kv += delta_total
-        counts.n_k += delta_total.sum(axis=1)
-        if trace.is_enabled():
-            moved = int(np.abs(delta_total).sum() // 2)
-            registry = metrics.registry
-            registry.counter("sampler.adlda_merges").inc()
-            # Merge staleness: the fraction of tokens that changed
-            # topic within the round — how much of the word-topic
-            # matrix every shard sampled against was already stale.
-            registry.gauge("adlda.merge_staleness").set(
-                moved / max(1, csr.n_tokens)
-            )
-            registry.gauge("adlda.shard_imbalance").set(
-                self.shard_imbalance
-            )
-            trace.event(
-                "adlda.merge",
-                n_shards=self.n_shards,
-                moved=moved,
-            )
-
-
-def select_kernel(
-    n_topics: int, n_docs: int, n_tokens: int, vocab_size: int
-) -> str:
-    """The ``kernel="auto"`` policy: pick a concrete kernel from shape.
+def select_kernel(n_topics: int) -> str:
+    """The ``kernel="auto"`` policy: pick a concrete kernel from K.
 
     The decision table (pinned by a unit test, re-derived from
     ``BENCH_sampler.json`` whenever the floors move):
 
-    * small K (≤ 24): ``dense`` — the O(K) flat loop's constants beat
-      every O(1) scheme while K is this small, and it stays
-      bit-identical to the reference;
-    * large K with an affordable table footprint: ``alias`` — the MH
-      proposals are O(1) in K, so it wins as soon as dense's O(K) scan
-      dominates;
-    * large K with a huge ``V × K`` table footprint (> 64M cells):
-      ``sparse`` — per-word alias tables would not fit comfortably, so
-      fall back to the bucket decomposition whose memory follows the
-      nonzero support instead.
+    * small K (≤ 24): ``dense``. ``alias`` already measures faster here
+      (647k vs 435k tokens/s, and a 0.96 s vs 1.18 s joint fit at
+      K = 10 on the 3,000-recipe bench corpus), but it changes the RNG
+      stream; ``dense`` is the bit-identical default, so fits at the
+      paper's K reproduce exactly across releases;
+    * large K: ``alias`` — its MH proposals are O(1) in K, while
+      dense's O(K) scan dominates the sweep.
     """
     if n_topics <= 24:
         return "dense"
-    if vocab_size * n_topics > 64_000_000:
-        return "sparse"
     return "alias"
 
 
@@ -1191,33 +683,19 @@ def make_kernel(
     counts: TopicCounts,
     alpha: np.ndarray,
     gamma: float,
-    n_shards: int | None = None,
-    parallel: "ParallelConfig | None" = None,
 ) -> TokenKernel:
     """Instantiate the named token-sampling kernel over a flattened corpus.
 
     ``"auto"`` resolves through :func:`select_kernel` first (and bumps
     the ``sampler.kernel_selected`` counter when tracing is on).
-    ``n_shards`` and ``parallel`` configure the ``"adlda"`` distributed
-    kernel and are ignored by the single-stream kernels.
     """
     if name == "auto":
-        name = select_kernel(
-            counts.n_topics, csr.n_docs, csr.n_tokens, counts.vocab_size
-        )
+        name = select_kernel(counts.n_topics)
         logger.debug("kernel auto-selection picked %r", name)
         if trace.is_enabled():
             metrics.registry.counter("sampler.kernel_selected").inc()
-    if name == "adlda":
-        return DistributedKernel(
-            csr, counts, alpha, gamma, n_shards=n_shards, parallel=parallel
-        )
     if name == "alias":
         return AliasKernel(csr, counts, alpha, gamma)
     if name == "dense":
         return DenseKernel(csr, counts, alpha, gamma)
-    if name == "legacy":
-        return LegacyKernel(csr, counts, alpha, gamma)
-    if name == "sparse":
-        return SparseKernel(csr, counts, alpha, gamma)
     raise ModelError(f"unknown sampling kernel {name!r}")

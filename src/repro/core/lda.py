@@ -34,16 +34,9 @@ class LDAConfig:
     burn_in: int = 200
     thin: int = 5
     #: Token-sampling kernel: "dense" (default, bit-identical fast
-    #: path), "legacy" (original per-token numpy loop), "sparse"
-    #: (SparseLDA buckets + alias table), "alias" (LightLDA MH, O(1)
-    #: per token), "adlda" (AD-LDA distributed shard sweeps) or "auto"
-    #: (picked from K and corpus shape); all but dense/legacy are
-    #: statistically equivalent, not bit-identical.
+    #: path), "alias" (LightLDA MH, O(1) per token; statistically
+    #: equivalent, not bit-identical) or "auto" (picked from K).
     kernel: str = "dense"
-    #: Document shards for the "adlda" kernel (``None`` → min(4, D));
-    #: ignored by every other kernel. The baseline LDA always fans the
-    #: shards out on the serial executor.
-    n_shards: int | None = None
 
     def __post_init__(self) -> None:
         if self.n_topics < 1:
@@ -54,8 +47,6 @@ class LDAConfig:
             raise ModelError("thin must be >= 1")
         if self.kernel not in KERNEL_CHOICES:
             raise ModelError(f"unknown sampling kernel {self.kernel!r}")
-        if self.n_shards is not None and self.n_shards < 1:
-            raise ModelError("n_shards must be >= 1")
 
 
 class LatentDirichletAllocation:
@@ -96,7 +87,6 @@ class LatentDirichletAllocation:
             counts,
             alpha,
             gamma,
-            n_shards=cfg.n_shards,
         )
 
         phi_acc = np.zeros((cfg.n_topics, vocab_size))

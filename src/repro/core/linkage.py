@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.linalg import guarded_inv
+from repro.core.normal_wishart import GaussianParams
 from repro.errors import LinkageError, NotFittedError
 from repro.eval.divergence import point_gaussian_kl
 from repro.rheology.studies import DishStudy, EmpiricalSetting
@@ -92,6 +94,20 @@ class TopicLinker:
     @property
     def n_topics(self) -> int:
         return self.gel_means.shape[0]
+
+    def gel_params(self) -> list[GaussianParams]:
+        """Per-topic gel Gaussians with the σ²·I covariance floor.
+
+        The one floored density every fold-in scores gel vectors with:
+        without the floor, absent gels make raw topic covariances
+        near-singular and broad mixed topics dominate the posterior.
+        """
+        return [
+            GaussianParams(
+                mean=self.gel_means[k], precision=guarded_inv(self.gel_covs[k])
+            )
+            for k in range(self.n_topics)
+        ]
 
     # -- core ------------------------------------------------------------------
 

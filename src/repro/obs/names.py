@@ -47,7 +47,6 @@ SPANS: frozenset[str] = frozenset(
 #: Point-in-time event names.
 EVENTS: frozenset[str] = frozenset(
     {
-        "adlda.merge",
         "executor.fallback",
         "sweep",
     }
@@ -70,18 +69,12 @@ METRICS: frozenset[str] = frozenset(
         "executor.fallback",
         "executor.task_run_seconds",
         "executor.task_wait_seconds",
-        "adlda.merge_staleness",
-        "adlda.shard_imbalance",
         "executor.batch_max_wait_seconds",
         "kernel.alias_refresh",
-        "kernel.sweep_seconds.adlda",
         "kernel.sweep_seconds.alias",
         "kernel.sweep_seconds.dense",
-        "kernel.sweep_seconds.legacy",
-        "kernel.sweep_seconds.sparse",
         "pipeline.shards",
         "pipeline.stage_seconds",
-        "sampler.adlda_merges",
         "sampler.kernel_selected",
         "sampler.sweep_log_likelihood",
         "sampler.sweep_seconds",
@@ -117,11 +110,8 @@ DYNAMIC_EVENTS: frozenset[str] = frozenset()
 #: sweep-time histograms are ``f"kernel.sweep_seconds.{kernel}"``).
 DYNAMIC_METRICS: frozenset[str] = frozenset(
     {
-        "kernel.sweep_seconds.adlda",
         "kernel.sweep_seconds.alias",
         "kernel.sweep_seconds.dense",
-        "kernel.sweep_seconds.legacy",
-        "kernel.sweep_seconds.sparse",
     }
 )
 

@@ -57,6 +57,18 @@ DEFAULT_MAX_STACKS = 10_000
 #: root-most first, and the stack is marked truncated).
 DEFAULT_MAX_DEPTH = 64
 
+#: Interpreter switch interval (seconds) while a profiler runs. CPython
+#: forces a GIL hand-off to a waiting thread only after one full switch
+#: interval (5 ms by default) with no release in between, and every
+#: brief release resets that clock. Code that releases the GIL briefly
+#: and often — numpy's locked RNG calls, once per document in the dense
+#: z-sweep — therefore starves the sampler thread, whose samples then
+#: land only on the rare long releases (the log-likelihood, the count
+#: sync) instead of where the time goes. A 0.1 ms interval lets the
+#: sampler in at its own rate; only threads already waiting for the GIL
+#: are affected, and the previous interval is restored on stop.
+SAMPLING_SWITCH_INTERVAL_S = 1e-4
+
 #: Synthetic stack for samples past the ``max_stacks`` bound.
 OVERFLOW_FRAME = "~overflow"
 
@@ -105,6 +117,7 @@ class Profiler:
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
         self._started_perf = 0.0
+        self._saved_switch_interval: float | None = None
 
     def start(self) -> None:
         if self._thread is not None:
@@ -115,6 +128,10 @@ class Profiler:
             self._started_perf = time.perf_counter()
             self._thread = threading.Thread(
                 target=self._run, name="repro-profiler", daemon=True
+            )
+            self._saved_switch_interval = sys.getswitchinterval()
+            sys.setswitchinterval(
+                min(self._saved_switch_interval, SAMPLING_SWITCH_INTERVAL_S)
             )
         self._thread.start()
 
@@ -127,6 +144,9 @@ class Profiler:
         with self._lock:
             self._thread = None
             self.duration_s = time.perf_counter() - self._started_perf
+            if self._saved_switch_interval is not None:
+                sys.setswitchinterval(self._saved_switch_interval)
+                self._saved_switch_interval = None
 
     def _run(self) -> None:
         own = threading.get_ident()

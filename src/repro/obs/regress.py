@@ -10,8 +10,8 @@ of the recent trajectory — the median of the last N rows per cell —
 against ``tolerance × floor``, so a single noisy row neither fails CI
 nor masks a real regression that persists across runs.
 
-Cells with no floor entry (e.g. ``adlda`` rows, whose throughput
-depends on shard count) are skipped; cells with a floor but no
+Cells with no floor entry (e.g. rows of a kernel the floor file does
+not name) are skipped; cells with a floor but no
 trajectory rows are reported as regressions too — a silently vanished
 bench is itself a regression of coverage.
 """

@@ -35,6 +35,7 @@ from __future__ import annotations
 import concurrent.futures
 import functools
 import os
+import pickle
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
@@ -206,6 +207,13 @@ def _run_pooled(
         if backend == "thread":
             pool = concurrent.futures.ThreadPoolExecutor(max_workers=workers)
         else:
+            # Pickle the task function here, before any pool exists. Left
+            # to the pool's feeder thread, a pickling failure races the
+            # cancel_futures shutdown below: CPython 3.11 can then drop
+            # the failed work item from the wrong pending-items table, so
+            # the pool's manager thread waits forever and blocks
+            # interpreter exit.
+            pickle.dumps(body)
             # The spawn start method: fork-based workers inherit whatever
             # locks the parent's threads held at fork time (pytest
             # capture, logging, BLAS pools…) and can deadlock; spawned
@@ -216,6 +224,9 @@ def _run_pooled(
                 max_workers=workers,
                 mp_context=multiprocessing.get_context("spawn"),
             )
+    except (pickle.PicklingError, AttributeError, TypeError) as exc:
+        _backend_failure(config, f"{backend} backend failed: {exc!r}", exc)
+        pool = None
     except (OSError, ImportError, ValueError) as exc:
         _backend_failure(config, f"cannot start {backend} pool: {exc!r}", exc)
         pool = None
@@ -260,9 +271,9 @@ def _run_pooled(
         if status == "err":
             raise value
         results.append(value)
-    # Worst queueing delay of the batch: the straggler signal the
-    # adlda merge-round health view keys on (a shard that waits is a
-    # round that stalls), distinct from the per-task wait histogram.
+    # Worst queueing delay of the batch: the straggler signal (one slow
+    # task stalls the whole batch), distinct from the per-task wait
+    # histogram.
     metrics.registry.gauge("executor.batch_max_wait_seconds").set(max_wait_s)
     return results
 

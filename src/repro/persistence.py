@@ -64,6 +64,10 @@ _ARRAY_FIELDS = (
     "y_",
 )
 
+#: Config keys of fields a later release retired. Archives written
+#: before the retirement still carry them, so they are dropped on load.
+_RETIRED_CONFIG_KEYS = frozenset({"n_shards"})
+
 #: Tags identifying the model class inside a v2 archive.
 _MODEL_TAG_JOINT = "gibbs"
 _MODEL_TAG_COLLAPSED = "collapsed"
@@ -105,16 +109,37 @@ def _model_tag(model: Any) -> str:
     raise ModelError(f"cannot serialise model of type {type(model).__name__}")
 
 
-def _model_for(tag: str, config: Mapping[str, Any]) -> Any:
+def _config_from(config_type: type[Any], config: Any, path: Path) -> Any:
+    """Rebuild a config dataclass from an archive header's ``config``.
+
+    Retired keys are dropped; a missing or non-object config and any
+    other unknown key raise :class:`~repro.errors.ModelError`.
+    """
+    if not isinstance(config, dict):
+        raise ModelError(f"{path} has no model config object")
+    kwargs = {
+        key: value
+        for key, value in config.items()
+        if key not in _RETIRED_CONFIG_KEYS
+    }
+    unknown = sorted(
+        set(kwargs) - {field.name for field in dataclasses.fields(config_type)}
+    )
+    if unknown:
+        raise ModelError(f"{path} has unknown model config keys {unknown}")
+    return config_type(**kwargs)
+
+
+def _model_for(tag: str, config: Any, path: Path) -> Any:
     from repro.core.collapsed import CollapsedJointModel
     from repro.core.variational import VariationalConfig, VariationalJointModel
 
     if tag == _MODEL_TAG_JOINT:
-        return JointTextureTopicModel(JointModelConfig(**config))
+        return JointTextureTopicModel(_config_from(JointModelConfig, config, path))
     if tag == _MODEL_TAG_COLLAPSED:
-        return CollapsedJointModel(JointModelConfig(**config))
+        return CollapsedJointModel(_config_from(JointModelConfig, config, path))
     if tag == _MODEL_TAG_VB:
-        return VariationalJointModel(VariationalConfig(**config))
+        return VariationalJointModel(_config_from(VariationalConfig, config, path))
     raise ModelError(f"unknown model class {tag!r} in archive")
 
 
@@ -171,9 +196,13 @@ def load_model(
         if version not in (1, FORMAT_VERSION):
             raise ModelError(f"unsupported archive version {version}")
         if version == 1:
-            model = JointTextureTopicModel(JointModelConfig(**header["config"]))
+            model = JointTextureTopicModel(
+                _config_from(JointModelConfig, header.get("config"), path)
+            )
         else:
-            model = _model_for(header.get("model_class", ""), header["config"])
+            model = _model_for(
+                header.get("model_class", ""), header.get("config"), path
+            )
         for name in _ARRAY_FIELDS:
             setattr(model, name, archive[name])
         if hasattr(model, "log_likelihoods_"):

@@ -35,20 +35,12 @@ def heldout_word_perplexity(
     import numpy as np
     from scipy.special import logsumexp
 
-    from repro.core.linalg import guarded_inv
-    from repro.core.normal_wishart import GaussianParams
+    from repro.core.linkage import TopicLinker
     from repro.errors import ModelError
 
     if model.theta_ is None:
         raise ModelError("heldout evaluation needs a fitted model")
-    floor = (point_sigma**2) * np.eye(heldout.gel_log.shape[1])
-    params = [
-        GaussianParams(
-            mean=np.asarray(model.gel_means_)[k],
-            precision=guarded_inv(np.asarray(model.gel_covs_)[k] + floor),
-        )
-        for k in range(model.n_topics)
-    ]
+    params = TopicLinker(model, point_sigma).gel_params()
     logits = np.column_stack(
         [p.log_density(heldout.gel_log) for p in params]
     )

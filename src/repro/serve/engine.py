@@ -34,9 +34,7 @@ import numpy as np
 
 from repro.artifacts.store import ArtifactStore
 from repro.core.kernels import sample_from_cumulative
-from repro.core.linalg import guarded_inv
 from repro.core.linkage import TopicLinker
-from repro.core.normal_wishart import GaussianParams
 from repro.corpus.extraction import TextureTermExtractor
 from repro.corpus.features import RecipeFeatures, build_features
 from repro.corpus.recipe import Ingredient, Recipe
@@ -222,19 +220,7 @@ class InferenceEngine:
         self._term_ids = {s: i for i, s in enumerate(self.vocabulary)}
         self._phi = np.asarray(model.phi_, dtype=float)
         self._alpha = float(getattr(model.config, "alpha", 1.0))
-        # Topic gel Gaussians floored exactly like the linker's: absent
-        # gels make raw covariances near-singular, which would let broad
-        # mixed topics dominate every fold-in posterior.
-        floor = (self.linker.point_sigma**2) * np.eye(
-            np.asarray(model.gel_means_).shape[1]
-        )
-        self._gel_params = [
-            GaussianParams(
-                mean=np.asarray(model.gel_means_)[k],
-                precision=guarded_inv(np.asarray(model.gel_covs_)[k] + floor),
-            )
-            for k in range(self.n_topics)
-        ]
+        self._gel_params = self.linker.gel_params()
         self._assignment_table = self.linker.assignment_table(TABLE_I)
         self._settings_by_id = {s.data_id: s for s in TABLE_I}
 

@@ -5,9 +5,12 @@ The load-bearing guarantees:
 * the dense kernel is **bit-identical** to the legacy per-token numpy
   loop (same uniforms, same order, same IEEE operations) for all three
   samplers, across seeds and for fractional ``α`` (the unfused path);
-* the sparse SparseLDA/alias kernel is statistically equivalent — it
-  recovers the same partition the dense kernel does — and leaves the
-  count state internally consistent;
+  the loop lives in :mod:`tests.core.legacy_kernel` as the oracle;
+* the alias kernel is statistically equivalent — it recovers the same
+  partition the dense kernel does, and its MH acceptance targets the
+  exact conditional however stale its tables are;
+* both kernels keep the count state internally consistent, including
+  on empty and single-topic documents;
 * the CSR flattening round-trips ragged corpora, including empty docs;
 * :func:`sample_from_cumulative` clamps boundary draws into range.
 """
@@ -17,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import collapsed, joint_model, lda
 from repro.core.joint_model import JointModelConfig, JointTextureTopicModel
 from repro.core.kernels import (
     KERNEL_CHOICES,
@@ -24,14 +28,10 @@ from repro.core.kernels import (
     AliasKernel,
     CSRTokens,
     DenseKernel,
-    DistributedKernel,
-    LegacyKernel,
-    SparseKernel,
     build_alias_table,
     make_kernel,
     sample_from_cumulative,
     select_kernel,
-    shard_bounds,
 )
 from repro.core.lda import LatentDirichletAllocation, LDAConfig
 from repro.core.priors import DirichletPrior
@@ -40,6 +40,7 @@ from repro.errors import ModelError
 from repro.eval.metrics import normalized_mutual_information
 from repro.rng import ensure_rng
 
+from .legacy_kernel import LegacyKernel
 from .test_joint_model import synthetic_joint_data
 
 
@@ -141,14 +142,36 @@ class TestCSRTokens:
 
 
 def _build_kernel(name, docs, vocab_size, n_topics, seed, alpha=1.0):
+    """A kernel over a freshly initialised state; ``"legacy"`` builds
+    the test-only oracle, any other name goes through make_kernel."""
     generator = ensure_rng(seed)
     counts = TopicCounts(len(docs), n_topics, vocab_size)
     z = initialise_assignments(docs, counts, generator)
-    csr = CSRTokens.from_docs(docs, z)
-    kernel = make_kernel(
-        name, csr, counts, DirichletPrior(alpha).vector(n_topics), 0.1
+    args = (
+        CSRTokens.from_docs(docs, z), counts,
+        DirichletPrior(alpha).vector(n_topics), 0.1,
     )
-    return kernel, generator
+    if name == "legacy":
+        return LegacyKernel(*args), generator
+    return make_kernel(name, *args), generator
+
+
+def _fit_dense_and_legacy(monkeypatch, module, fit):
+    """Run ``fit`` with the default dense kernel, then again with the
+    legacy oracle injected through ``module.make_kernel``."""
+    built = []
+
+    def legacy_make_kernel(name, csr, counts, alpha, gamma):
+        assert name == "dense"
+        built.append(name)
+        return LegacyKernel(csr, counts, alpha, gamma)
+
+    dense = fit()
+    with monkeypatch.context() as patch:
+        patch.setattr(module, "make_kernel", legacy_make_kernel)
+        legacy = fit()
+    assert built, "the legacy oracle was never injected"
+    return dense, legacy
 
 
 class TestDenseBitIdentity:
@@ -185,140 +208,71 @@ class TestDenseBitIdentity:
         assert not unfused._fused
 
     @pytest.mark.parametrize("seed", [3, 11])
-    def test_joint_model_fit_bit_identical(self, seed):
+    def test_joint_model_fit_bit_identical(self, monkeypatch, seed):
         rng = ensure_rng(seed)
         docs, gels, emulsions, _ = synthetic_joint_data(rng, n_docs=45)
-        fits = {}
-        for kernel in ("dense", "legacy"):
-            config = JointModelConfig(
-                n_topics=3, n_sweeps=20, burn_in=10, thin=2, kernel=kernel
-            )
-            fits[kernel] = JointTextureTopicModel(config).fit(
+        config = JointModelConfig(n_topics=3, n_sweeps=20, burn_in=10, thin=2)
+        dense, legacy = _fit_dense_and_legacy(
+            monkeypatch,
+            joint_model,
+            lambda: JointTextureTopicModel(config).fit(
                 docs, gels, emulsions, vocab_size=9, rng=seed
-            )
-        dense, legacy = fits["dense"], fits["legacy"]
+            ),
+        )
         assert np.array_equal(dense.phi_, legacy.phi_)
         assert np.array_equal(dense.theta_, legacy.theta_)
         assert np.array_equal(dense.y_, legacy.y_)
         assert dense.log_likelihoods_ == legacy.log_likelihoods_
 
     @pytest.mark.parametrize("seed", [3, 11])
-    def test_lda_fit_bit_identical(self, rng, seed):
+    def test_lda_fit_bit_identical(self, monkeypatch, rng, seed):
         docs = synthetic_docs(rng)
-        fits = {}
-        for kernel in ("dense", "legacy"):
-            config = LDAConfig(
-                n_topics=4, n_sweeps=20, burn_in=10, thin=2, kernel=kernel
-            )
-            fits[kernel] = LatentDirichletAllocation(config).fit(
+        config = LDAConfig(n_topics=4, n_sweeps=20, burn_in=10, thin=2)
+        dense, legacy = _fit_dense_and_legacy(
+            monkeypatch,
+            lda,
+            lambda: LatentDirichletAllocation(config).fit(
                 docs, vocab_size=9, rng=seed
-            )
-        assert np.array_equal(fits["dense"].phi_, fits["legacy"].phi_)
-        assert np.array_equal(fits["dense"].theta_, fits["legacy"].theta_)
+            ),
+        )
+        assert np.array_equal(dense.phi_, legacy.phi_)
+        assert np.array_equal(dense.theta_, legacy.theta_)
 
-    def test_collapsed_fit_bit_identical(self):
-        from repro.core.collapsed import CollapsedJointModel
-
+    def test_collapsed_fit_bit_identical(self, monkeypatch):
         rng = ensure_rng(7)
         docs, gels, emulsions, _ = synthetic_joint_data(rng, n_docs=45)
-        fits = {}
-        for kernel in ("dense", "legacy"):
-            config = JointModelConfig(
-                n_topics=3, n_sweeps=16, burn_in=8, thin=2, kernel=kernel
-            )
-            fits[kernel] = CollapsedJointModel(config).fit(
+        config = JointModelConfig(n_topics=3, n_sweeps=16, burn_in=8, thin=2)
+        dense, legacy = _fit_dense_and_legacy(
+            monkeypatch,
+            collapsed,
+            lambda: collapsed.CollapsedJointModel(config).fit(
                 docs, gels, emulsions, vocab_size=9, rng=7
-            )
-        assert np.array_equal(fits["dense"].phi_, fits["legacy"].phi_)
-        assert np.array_equal(fits["dense"].y_, fits["legacy"].y_)
-        assert (
-            fits["dense"].log_likelihoods_ == fits["legacy"].log_likelihoods_
+            ),
         )
+        assert np.array_equal(dense.phi_, legacy.phi_)
+        assert np.array_equal(dense.y_, legacy.y_)
+        assert dense.log_likelihoods_ == legacy.log_likelihoods_
 
 
-# -- sparse kernel ------------------------------------------------------------
+# -- boundary cases, both kernels ---------------------------------------------
 
 
-class TestSparseKernel:
-    def test_counts_stay_consistent(self, rng):
-        docs = synthetic_docs(rng)
-        y = ensure_rng(0).integers(0, 4, size=len(docs))
-        kernel, generator = _build_kernel("sparse", docs, 9, 4, 0)
-        assert isinstance(kernel, SparseKernel)
-        for sweep in range(5):
-            kernel.sweep(generator, None if sweep % 2 else y)
-            kernel.counts.check()
-        # token totals conserved
-        assert kernel.counts.n_k.sum() == kernel.csr.n_tokens
-
-    def test_matches_dense_partition(self):
-        """Sparse recovers the dense partition (NMI) over three seeds.
-
-        Reuses :func:`run_chains` so the comparison covers the restart
-        engine path a real fit takes.
-        """
-        from repro.core.collapsed import run_chains
-
-        rng = ensure_rng(1)
-        docs, gels, emulsions, truth = synthetic_joint_data(rng, n_docs=90)
-        assignments = {}
-        for kernel in ("dense", "sparse"):
-            config = JointModelConfig(
-                n_topics=3, n_sweeps=40, burn_in=20, thin=2, kernel=kernel
-            )
-            chains = run_chains(
-                config, docs, gels, emulsions, vocab_size=9, n_chains=3,
-                rng=2,
-            )
-            assignments[kernel] = [
-                chain.topic_assignments() for chain in chains
-            ]
-        for dense_z, sparse_z in zip(
-            assignments["dense"], assignments["sparse"]
-        ):
-            assert normalized_mutual_information(dense_z, sparse_z) > 0.8
-            assert normalized_mutual_information(sparse_z, truth) > 0.8
-
-    def test_alias_refresh_validation(self, rng):
-        docs = synthetic_docs(rng)
-        counts = TopicCounts(len(docs), 4, 9)
-        generator = ensure_rng(0)
-        z = initialise_assignments(docs, counts, generator)
-        with pytest.raises(ModelError):
-            SparseKernel(
-                CSRTokens.from_docs(docs, z), counts,
-                DirichletPrior(1.0).vector(4), 0.1, alias_refresh=0,
-            )
-
-    def test_alias_table_draws_match_smoothing_weights(self, rng):
-        """The Walker table reproduces the smoothing distribution."""
-        docs = synthetic_docs(rng)
-        kernel, generator = _build_kernel("sparse", docs, 9, 4, 0)
-        kernel._rebuild_smoothing()
-        terms = np.array(kernel._smoothing_terms())
-        expected = terms / terms.sum()
-        draws = np.bincount(
-            [kernel._draw_smoothing(generator) for _ in range(20000)],
-            minlength=4,
-        )
-        observed = draws / draws.sum()
-        assert np.abs(observed - expected).max() < 0.02
-
-    def test_all_empty_docs(self):
-        """The incremental doc bucket must survive zero-token documents."""
+@pytest.mark.parametrize("name", ["dense", "alias"])
+class TestKernelBoundaries:
+    def test_all_empty_docs(self, name):
+        """Zero-token documents: sweeps must leave empty counts intact."""
         docs = [np.array([], dtype=np.int64) for _ in range(5)]
-        kernel, generator = _build_kernel("sparse", docs, 9, 4, 0)
+        kernel, generator = _build_kernel(name, docs, 9, 4, 0)
         y = ensure_rng(0).integers(0, 4, size=len(docs))
         for sweep in range(3):
             kernel.sweep(generator, None if sweep % 2 else y)
             kernel.counts.check()
         assert kernel.counts.n_k.sum() == 0
 
-    def test_single_topic_doc(self):
-        """A document whose tokens all share one topic: the doc bucket
-        has exactly one nonzero entry, and removing a token may drive
-        that entry to zero mid-document — both paths must keep the
-        incremental r-mass and the counts exact."""
+    def test_single_topic_doc(self, name):
+        """A document whose tokens all share one topic: removing a token
+        may drive that topic's doc count to zero mid-document, and the
+        count state must stay exact on both paths."""
         docs = [np.array([0, 1, 2, 0, 1], dtype=np.int64),
                 np.array([3], dtype=np.int64)]
         counts = TopicCounts(len(docs), 4, 9)
@@ -330,8 +284,8 @@ class TestSparseKernel:
                 counts.n_k[k] += 1
                 counts.n_d[d] += 1
         csr = CSRTokens.from_docs(docs, z)
-        kernel = SparseKernel(
-            csr, counts, DirichletPrior(0.5).vector(4), 0.1
+        kernel = make_kernel(
+            name, csr, counts, DirichletPrior(0.5).vector(4), 0.1
         )
         generator = ensure_rng(3)
         y = np.array([2, 1])
@@ -357,8 +311,8 @@ class TestAliasKernel:
 
     def test_matches_dense_partition(self):
         """Alias/MH recovers the dense partition (NMI) over three
-        seeds — the same :func:`run_chains` harness the sparse kernel's
-        statistical-equivalence test uses."""
+        seeds, through the :func:`run_chains` restart harness a real
+        fit takes."""
         from repro.core.collapsed import run_chains
 
         rng = ensure_rng(1)
@@ -476,146 +430,30 @@ class TestAliasKernel:
         assert kernel.alias_refreshes > before
 
 
-# -- adlda kernel -------------------------------------------------------------
-
-
-class TestDistributedKernel:
-    def test_counts_stay_consistent(self, rng):
-        """AD-LDA merges must restore exact global counts each round."""
-        docs = synthetic_docs(rng)
-        y = ensure_rng(0).integers(0, 4, size=len(docs))
-        generator = ensure_rng(0)
-        counts = TopicCounts(len(docs), 4, 9)
-        z = initialise_assignments(docs, counts, generator)
-        kernel = make_kernel(
-            "adlda", CSRTokens.from_docs(docs, z), counts,
-            DirichletPrior(1.0).vector(4), 0.1, n_shards=3,
-        )
-        assert isinstance(kernel, DistributedKernel)
-        assert kernel.n_shards == 3
-        for sweep in range(5):
-            kernel.sweep(generator, None if sweep % 2 else y)
-            kernel.counts.check()
-        assert kernel.counts.n_k.sum() == kernel.csr.n_tokens
-
-    def test_shard_bounds_cover_all_docs(self):
-        offsets = np.array([0, 5, 5, 9, 20, 21, 30], dtype=np.int64)
-        bounds = shard_bounds(offsets, 3)
-        assert bounds[0][0] == 0
-        assert bounds[-1][1] == 6
-        for (_, hi), (lo, _) in zip(bounds, bounds[1:]):
-            assert hi == lo
-        # degenerate: more shards than docs still covers everything
-        tiny = shard_bounds(np.array([0, 4], dtype=np.int64), 8)
-        assert tiny == [(0, 1)]
-
-    def test_csr_shard_views(self, rng):
-        docs = synthetic_docs(rng)
-        generator = ensure_rng(0)
-        counts = TopicCounts(len(docs), 4, 9)
-        z = initialise_assignments(docs, counts, generator)
-        csr = CSRTokens.from_docs(docs, z)
-        shard = csr.shard(2, 5)
-        assert shard.n_docs == 3
-        assert shard.doc_offsets[0] == 0
-        lo, hi = csr.doc_offsets[2], csr.doc_offsets[5]
-        assert np.array_equal(shard.token_words, csr.token_words[lo:hi])
-        with pytest.raises(ModelError):
-            csr.shard(3, 2)
-
-    def test_matches_dense_partition(self):
-        """Distributed AD-LDA recovers the dense partition (NMI) over
-        three seeds — the same :func:`run_chains` harness the sparse and
-        alias kernels' statistical-equivalence tests use."""
-        from repro.core.collapsed import run_chains
-
-        rng = ensure_rng(1)
-        docs, gels, emulsions, truth = synthetic_joint_data(rng, n_docs=90)
-        assignments = {}
-        for kernel in ("dense", "adlda"):
-            config = JointModelConfig(
-                n_topics=3, n_sweeps=40, burn_in=20, thin=2, kernel=kernel,
-                n_shards=4 if kernel == "adlda" else None,
-            )
-            chains = run_chains(
-                config, docs, gels, emulsions, vocab_size=9, n_chains=3,
-                rng=2,
-            )
-            assignments[kernel] = [
-                chain.topic_assignments() for chain in chains
-            ]
-        for dense_z, adlda_z in zip(
-            assignments["dense"], assignments["adlda"]
-        ):
-            assert normalized_mutual_information(dense_z, adlda_z) > 0.8
-            assert normalized_mutual_information(adlda_z, truth) > 0.8
-
-    def test_single_shard_matches_inner_kernel_exactly(self, rng):
-        """One shard on the serial executor is the inner dense kernel:
-        same spawned stream, same trajectory, bitwise."""
-        from repro.rng import spawn
-
-        docs = synthetic_docs(rng)
-        results = {}
-        for name in ("dense", "adlda"):
-            generator = ensure_rng(3)
-            counts = TopicCounts(len(docs), 4, 9)
-            z = initialise_assignments(docs, counts, generator)
-            kernel = make_kernel(
-                name, CSRTokens.from_docs(docs, z), counts,
-                DirichletPrior(1.0).vector(4), 0.1,
-                n_shards=1 if name == "adlda" else None,
-            )
-            for _ in range(4):
-                # adlda spawns one child stream per sweep via run_tasks;
-                # mirror that spawn for the direct dense kernel.
-                if name == "dense":
-                    kernel.sweep(spawn(generator, 1)[0])
-                else:
-                    kernel.sweep(generator)
-            results[name] = (kernel.csr.token_topics.copy(), counts.n_kv.copy())
-        assert np.array_equal(results["dense"][0], results["adlda"][0])
-        assert np.array_equal(results["dense"][1], results["adlda"][1])
-
-    def test_rejects_nested_or_invalid_inner(self, rng):
-        docs = synthetic_docs(rng)
-        counts = TopicCounts(len(docs), 4, 9)
-        generator = ensure_rng(0)
-        z = initialise_assignments(docs, counts, generator)
-        csr = CSRTokens.from_docs(docs, z)
-        alpha = DirichletPrior(1.0).vector(4)
-        with pytest.raises(ModelError):
-            DistributedKernel(csr, counts, alpha, 0.1, inner="adlda")
-        with pytest.raises(ModelError):
-            DistributedKernel(csr, counts, alpha, 0.1, n_shards=0)
-        with pytest.raises(ModelError):
-            LDAConfig(kernel="adlda", n_shards=0)
-        with pytest.raises(ModelError):
-            JointModelConfig(kernel="adlda", n_shards=-1)
-
-
 # -- wiring -------------------------------------------------------------------
 
 
 class TestKernelSelection:
     def test_unknown_kernel_rejected_everywhere(self, rng):
-        with pytest.raises(ModelError):
-            LDAConfig(kernel="blas")
-        with pytest.raises(ModelError):
-            JointModelConfig(kernel="blas")
         docs = synthetic_docs(rng)
         counts = TopicCounts(len(docs), 4, 9)
         generator = ensure_rng(0)
         z = initialise_assignments(docs, counts, generator)
-        with pytest.raises(ModelError):
-            make_kernel(
-                "blas", CSRTokens.from_docs(docs, z), counts,
-                DirichletPrior(1.0).vector(4), 0.1,
-            )
+        # "blas" never existed; the other three are retired kernels
+        for name in ("blas", "legacy", "sparse", "adlda"):
+            with pytest.raises(ModelError):
+                LDAConfig(kernel=name)
+            with pytest.raises(ModelError):
+                JointModelConfig(kernel=name)
+            with pytest.raises(ModelError):
+                make_kernel(
+                    name, CSRTokens.from_docs(docs, z), counts,
+                    DirichletPrior(1.0).vector(4), 0.1,
+                )
 
     def test_kernel_names_exported(self):
-        assert set(KERNELS) == {"adlda", "alias", "dense", "legacy", "sparse"}
-        assert set(KERNEL_CHOICES) == set(KERNELS) | {"auto"}
+        assert KERNELS == ("alias", "dense")
+        assert KERNEL_CHOICES == ("alias", "dense", "auto")
 
     def test_auto_accepted_by_configs(self):
         assert LDAConfig(kernel="auto").kernel == "auto"
@@ -624,16 +462,15 @@ class TestKernelSelection:
     def test_auto_decision_table(self):
         """Pins the ``kernel="auto"`` policy. Re-derive from
         ``BENCH_sampler.json`` before moving any of these cells."""
-        # small K → dense, regardless of corpus size
-        assert select_kernel(10, 100, 10_000, 500) == "dense"
-        assert select_kernel(24, 1_000_000, 10**8, 100_000) == "dense"
-        # large K, affordable V×K table footprint → alias
-        assert select_kernel(25, 100, 10_000, 500) == "alias"
-        assert select_kernel(50, 3000, 10**6, 20_000) == "alias"
-        assert select_kernel(200, 3000, 10**6, 200_000) == "alias"
-        # large K and V×K > 64M cells → sparse (table memory blows up)
-        assert select_kernel(200, 3000, 10**6, 400_000) == "sparse"
-        assert select_kernel(1000, 10**6, 10**9, 100_000) == "sparse"
+        # K ≤ 24 → dense, the bit-identical default
+        assert select_kernel(1) == "dense"
+        assert select_kernel(10) == "dense"
+        assert select_kernel(24) == "dense"
+        # larger K → alias, with no table-footprint fallback
+        assert select_kernel(25) == "alias"
+        assert select_kernel(50) == "alias"
+        assert select_kernel(200) == "alias"
+        assert select_kernel(1000) == "alias"
 
     def test_make_kernel_auto_resolves(self, rng):
         docs = synthetic_docs(rng)
@@ -653,7 +490,7 @@ class TestKernelSelection:
         from repro.pipeline.experiment import quick_config
 
         args = argparse.Namespace(
-            backend="serial", workers=None, restarts=1, kernel="sparse"
+            backend="serial", workers=None, restarts=1, kernel="alias"
         )
         config = _apply_parallel_options(quick_config(100, 20, 1), args)
-        assert config.model.kernel == "sparse"
+        assert config.model.kernel == "alias"

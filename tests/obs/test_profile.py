@@ -1,6 +1,7 @@
 """Tests for repro.obs.profile — the wall-clock sampling profiler."""
 
 import json
+import sys
 import threading
 import time
 
@@ -49,6 +50,18 @@ class TestProfilerConstruction:
 
     def test_stop_without_start_is_a_no_op(self):
         profile.Profiler().stop()
+
+    def test_switch_interval_lowered_while_running(self):
+        before = sys.getswitchinterval()
+        profiler = profile.Profiler(hz=200)
+        profiler.start()
+        try:
+            assert sys.getswitchinterval() <= (
+                profile.SAMPLING_SWITCH_INTERVAL_S
+            )
+        finally:
+            profiler.stop()
+        assert sys.getswitchinterval() == before
 
 
 class TestSampling:
@@ -288,13 +301,23 @@ class TestProfiledFit:
         n_topics=16, n_sweeps=30, burn_in=10, thin=2, kernel="dense"
     )
 
+    #: Cap on repeated fits inside one profiled window: a fast host
+    #: needs several fits to clear the sample floor, and a dead sampler
+    #: must fail the floor instead of hanging the test.
+    MAX_FITS = 40
+
     def test_kernel_sweep_dominates_profile(self):
         docs, vocab = _fit_corpus()
         trace.enable(None)
         profile.enable(None, hz=250)
-        LatentDirichletAllocation(self.CONFIG).fit(
-            docs, vocab, rng=ensure_rng(11)
-        )
+        # Count-based, not clock-based: repeat the same seeded fit until
+        # the profiler holds enough samples for the share checks.
+        for _ in range(self.MAX_FITS):
+            LatentDirichletAllocation(self.CONFIG).fit(
+                docs, vocab, rng=ensure_rng(11)
+            )
+            if profile.active().n_samples > 50:
+                break
         report = profile.disable()
         trace.disable()
         assert report.n_samples > 50

@@ -88,6 +88,22 @@ class TestFallback:
         )
         assert got == serial
 
+    def test_unpicklable_fn_starts_no_pool(self, monkeypatch):
+        """The task function is pickled before a process pool exists: a
+        pickling failure inside a live pool's feeder thread can leave the
+        pool's manager thread waiting forever and hang interpreter exit."""
+        import concurrent.futures
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("process pool started for an unpicklable task")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        got = run_tasks(  # repro: noqa[PAR001] - deliberately unpicklable lambda: this test asserts no pool starts
+            lambda payload, rng: _draw(payload, rng), [1, 2, 3], rng=11,
+            config=ParallelConfig(backend="process"),
+        )
+        assert got == run_tasks(_draw, [1, 2, 3], rng=11)
+
     def test_fallback_disabled_raises(self):
         with pytest.raises(ParallelError):
             run_tasks(  # repro: noqa[PAR001] - deliberately unpicklable lambda: this test asserts the raise

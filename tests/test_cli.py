@@ -155,6 +155,30 @@ class TestRun:
         assert main(self.ARGS) == 0
         assert "experiment" in capsys.readouterr().out
 
+    def test_sharded_run_fits_single_stream(self, capsys, tmp_path):
+        """``--shards`` shards the data layer only: the fit keeps the
+        ``--kernel`` default and runs single-stream on the merged set,
+        with no shard count in the model config."""
+        import dataclasses
+        import json
+
+        from repro.artifacts.store import ArtifactStore
+        from repro.serve import ModelBundle
+
+        cache = tmp_path / "store"
+        out_path = tmp_path / "manifest.json"
+        code = main(
+            ["run", "--recipes", "120", "--sweeps", "6", "--shards", "2",
+             "--no-w2v-filter", "--cache-dir", str(cache),
+             "--json", str(out_path)]
+        )
+        assert code == 0
+        manifest = json.loads(out_path.read_text())
+        assert manifest["sharded"]["n_shards"] == 2
+        bundle = ModelBundle.load(ArtifactStore(cache))
+        assert bundle.model.config.kernel == "dense"
+        assert "n_shards" not in dataclasses.asdict(bundle.model.config)
+
 
 class TestCache:
     def _populate(self, tmp_path):

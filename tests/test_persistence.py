@@ -183,6 +183,47 @@ class TestCorruptArchives:
         with pytest.raises(ModelError, match="model class"):
             load_model(path)
 
+    def _saved_header(self, fitted_joint, tmp_path, version):
+        header = _header_of(save_model(fitted_joint, tmp_path / "saved.npz"))
+        header["version"] = version
+        return header
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_retired_n_shards_key_loads(self, fitted_joint, tmp_path, version):
+        """Archives written while the model configs had an ``n_shards``
+        field carry ``"n_shards": null``; they must keep loading."""
+        header = self._saved_header(fitted_joint, tmp_path, version)
+        header["config"]["n_shards"] = None
+        path = tmp_path / "m.npz"
+        _write_with_header(path, header, self._arrays(fitted_joint))
+        model, _ = load_model(path)
+        assert model.config == fitted_joint.config
+        assert np.array_equal(model.phi_, fitted_joint.phi_)
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_unknown_config_key(self, fitted_joint, tmp_path, version):
+        header = self._saved_header(fitted_joint, tmp_path, version)
+        header["config"]["n_galaxies"] = 3
+        path = tmp_path / "m.npz"
+        _write_with_header(path, header, self._arrays(fitted_joint))
+        with pytest.raises(ModelError, match="n_galaxies") as excinfo:
+            load_model(path)
+        assert str(path) in str(excinfo.value)
+
+    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("config", ["absent", None, [1, 2]])
+    def test_missing_config(self, fitted_joint, tmp_path, version, config):
+        header = self._saved_header(fitted_joint, tmp_path, version)
+        if config == "absent":
+            del header["config"]
+        else:
+            header["config"] = config
+        path = tmp_path / "m.npz"
+        _write_with_header(path, header, self._arrays(fitted_joint))
+        with pytest.raises(ModelError, match="config") as excinfo:
+            load_model(path)
+        assert str(path) in str(excinfo.value)
+
 
 class TestAllInferenceMethods:
     """Round trips restore the exact class and arrays for each method."""
