@@ -146,8 +146,7 @@ def measure(
     """Serve ``n_requests`` over HTTP and summarise the load run."""
     engine = build_engine()
     batcher = MicroBatcher(
-        engine, max_batch=MAX_BATCH, max_wait_s=0.002,
-        backend="thread", n_workers=4,
+        engine, max_batch=MAX_BATCH, backend="thread", n_workers=4
     )
     server = make_server(engine, port=0, batcher=batcher)
     thread = run_server(server)

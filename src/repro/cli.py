@@ -247,8 +247,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="max concurrent requests folded in per batch",
     )
     serve.add_argument(
-        "--batch-wait-ms", type=float, default=2.0,
-        help="how long a batch waits for co-travellers before running",
+        "--batch-wait-ms", type=float, default=0.0,
+        help="how long a batch waits for co-travellers before running "
+             "(default 0: run what is queued at once)",
     )
     serve.add_argument(
         "--fold-in-sweeps", type=int, default=48,

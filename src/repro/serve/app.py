@@ -4,7 +4,8 @@ Transport and logic are split so the logic is testable without
 sockets: :class:`ServeApp` maps ``(method, path, body)`` to
 ``(status, JSON payload)`` — routing, error mapping, spans, metrics —
 and the :class:`ThreadingHTTPServer` subclass below is a thin byte
-shuffler around it.
+shuffler around it: keep-alive connections, one buffered write per
+reply on a TCP_NODELAY socket, and a read timeout.
 
 Endpoints::
 
@@ -16,7 +17,9 @@ Endpoints::
 
 Error contract: every :class:`~repro.errors.ReproError` family maps to
 one HTTP status (see :func:`status_of`), and every non-2xx body carries
-the uniform ``{"error": {"type", "message"}}`` envelope.
+the uniform ``{"error": {"type", "message"}}`` envelope — including
+requests ``http.server`` rejects before routing, such as a 501 for an
+unsupported method.
 """
 
 from __future__ import annotations
@@ -219,6 +222,10 @@ class TextureServer(ThreadingHTTPServer):
     """A threading HTTP server bound to one :class:`ServeApp`."""
 
     daemon_threads = True
+    # socketserver's default listen backlog of 5 lets the kernel drop
+    # the SYNs of a burst of concurrent connects, and each dropped
+    # client retries only after a second.
+    request_queue_size = 128
 
     def __init__(self, address: tuple[str, int], app: ServeApp) -> None:
         super().__init__(address, _Handler)
@@ -227,6 +234,18 @@ class TextureServer(ThreadingHTTPServer):
 
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
+    # A buffered wfile sends each reply in one write: http.server
+    # flushes it after every request, and finish() after send_error().
+    # Sent as head then body with Nagle on, every kept-alive reply after
+    # the first would wait ~40 ms for the client's delayed ACK.
+    # TCP_NODELAY spares a reply longer than one segment (or than the
+    # buffer) the same wait on its last partial segment.
+    wbufsize = -1
+    disable_nagle_algorithm = True
+    # Seconds a socket read or write may block: a client that stalls
+    # mid-body or idles on a kept-alive connection is disconnected
+    # instead of pinning its handler thread.
+    timeout = 30.0
 
     @property
     def _app(self) -> ServeApp:
@@ -246,13 +265,40 @@ class _Handler(BaseHTTPRequestHandler):
         except ValueError:
             length = -1
         if not 0 <= length <= MAX_BODY_BYTES:
-            status, payload = 400, error_body(
-                "BadRequestError",
-                f"Content-Length must be an integer in [0, {MAX_BODY_BYTES}]",
+            # The body stays unread, so the connection cannot carry a
+            # next request: those bytes would be parsed as one.
+            self._reply(
+                400,
+                error_body(
+                    "BadRequestError",
+                    f"Content-Length must be an integer in "
+                    f"[0, {MAX_BODY_BYTES}]",
+                ),
+                close=True,
             )
-        else:
-            body = self.rfile.read(length) if length else b""
-            status, payload = self._app.handle(method, self.path, body)
+            return
+        body = self.rfile.read(length) if length else b""
+        self._reply(*self._app.handle(method, self.path, body))
+
+    def send_error(
+        self, code: int, message: str | None = None, explain: str | None = None
+    ) -> None:
+        """Answer a request http.server rejects itself, in the envelope.
+
+        Unsupported methods and malformed requests or headers never
+        reach :class:`ServeApp`; the stdlib would answer them in HTML.
+        """
+        phrase, description = self.responses[code]
+        self.log_error("code %d, message %s", code, message)
+        self._reply(
+            code,
+            error_body(phrase.replace(" ", ""), message or description),
+            close=True,
+        )
+
+    def _reply(
+        self, status: int, payload: dict[str, Any] | str, close: bool = False
+    ) -> None:
         if isinstance(payload, str):
             data = payload.encode("utf-8")
             content_type = prom.CONTENT_TYPE
@@ -262,8 +308,12 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(data)))
+        if close:
+            # send_header() also sets close_connection on this header.
+            self.send_header("Connection", "close")
         self.end_headers()
-        self.wfile.write(data)
+        if self.command != "HEAD":
+            self.wfile.write(data)
 
     def log_message(self, format: str, *args: Any) -> None:
         logger.debug("%s %s", self.address_string(), format % args)

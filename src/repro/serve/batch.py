@@ -2,11 +2,13 @@
 
 HTTP handler threads never run Gibbs passes themselves: they submit
 requests to a :class:`MicroBatcher` and block on a future. A single
-collector thread drains the queue, groups up to ``max_batch`` requests
-that arrive within ``max_wait_s`` of each other, and executes the group
-through :func:`repro.parallel.run_tasks` — so under load the executor
-amortises dispatch over whole batches instead of thrashing one request
-at a time.
+collector thread drains the queue and executes up to ``max_batch``
+queued requests as one group through :func:`repro.parallel.run_tasks`.
+By default it waits for nobody: a lone request runs at once, and the
+requests that arrive while a batch runs form the next batch — so under
+load the executor amortises dispatch over whole batches instead of
+thrashing one request at a time. A positive ``max_wait_s`` opts into a
+window that holds each batch open for later arrivals.
 
 Batching is invisible in the results: every request derives its RNG
 stream from its own content (see
@@ -55,13 +57,19 @@ def _fold_in_task(
 
 
 class MicroBatcher:
-    """A request queue draining into batched fold-in executions."""
+    """A request queue draining into batched fold-in executions.
+
+    A batch starts at the oldest queued request and collects more, up
+    to ``max_batch``, until ``max_wait_s`` seconds after it started
+    (default 0: only what is already queued, so a lone request never
+    waits for company).
+    """
 
     def __init__(
         self,
         engine: InferenceEngine,
         max_batch: int = 8,
-        max_wait_s: float = 0.002,
+        max_wait_s: float = 0.0,
         backend: str = "serial",
         n_workers: int | None = None,
     ) -> None:

@@ -1,9 +1,12 @@
-"""Tests for repro.serve.batch: batched == sequential, lifecycle."""
+"""Tests for repro.serve.batch: batched == sequential, lifecycle, no window."""
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
+from repro.cli import _build_parser
 from repro.errors import ServeError, UnknownTermError
 from repro.obs import metrics
 from repro.serve import MicroBatcher
@@ -102,3 +105,68 @@ class TestLifecycle:
         finally:
             batcher.close()
         assert histogram.count > before
+
+
+class TestNoWindowByDefault:
+    def test_defaults_are_zero(self, engine):
+        batcher = MicroBatcher(engine)
+        try:
+            assert batcher.max_wait_s == 0
+        finally:
+            batcher.close()
+        assert _build_parser().parse_args(["serve"]).batch_wait_ms == 0
+
+    def test_lone_request_never_waits_for_company(self, engine):
+        """The collector takes what is queued without a timed ``get``."""
+        batcher = MicroBatcher(engine)
+        calls: list[tuple[bool, float | None]] = []
+        get = batcher._queue.get
+
+        def recorded_get(block=True, timeout=None):
+            calls.append((block, timeout))
+            return get(block, timeout)
+
+        batcher._queue.get = recorded_get
+        try:
+            assert batcher.infer(REQUESTS[0]) == engine.infer(REQUESTS[0])
+        finally:
+            batcher.close()
+        assert calls
+        assert not [
+            call for call in calls
+            if call[0] and call[1] is not None and call[1] > 0
+        ]
+
+    def test_requests_queued_during_a_batch_form_the_next(
+        self, engine, monkeypatch
+    ):
+        entered, release = threading.Event(), threading.Event()
+        infer = engine.infer
+
+        def held_infer(request):
+            if not entered.is_set():
+                entered.set()
+                release.wait(30.0)
+            return infer(request)
+
+        monkeypatch.setattr(engine, "infer", held_infer)
+        batcher = MicroBatcher(engine)
+        sizes: list[int] = []
+        run_batch = batcher._run_batch
+
+        def recorded_run_batch(batch):
+            sizes.append(len(batch))
+            run_batch(batch)
+
+        batcher._run_batch = recorded_run_batch
+        try:
+            first = batcher.submit(REQUESTS[0])
+            assert entered.wait(30.0)
+            rest = [batcher.submit(r) for r in REQUESTS]
+            release.set()
+            answers = [f.result(30.0) for f in (first, *rest)]
+        finally:
+            release.set()
+            batcher.close()
+        assert sizes == [1, 3]
+        assert answers == [infer(r) for r in (REQUESTS[0], *REQUESTS)]
