@@ -4,7 +4,8 @@ The paper's motivating scenario — a home-cooking user posts (or finds) a
 recipe with no texture description and wants to know the texture before
 cooking. We fold the recipe into a fitted joint topic model and report
 the predicted texture terms plus the rheological profile of the linked
-food-science settings.
+food-science settings. The fold-in is the seeded one ``repro serve``
+runs, so ``POST /v1/texture`` answers the same recipe identically.
 
 Run:
     python examples/texture_lookup.py

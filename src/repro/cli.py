@@ -556,9 +556,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     sweeps = args.fold_in_sweeps
     if sweeps < 3:
         raise ModelError("--fold-in-sweeps must be >= 3")
-    engine = InferenceEngine(
-        bundle, config=FoldInConfig(n_sweeps=sweeps, burn_in=sweeps // 3)
-    )
+    engine = InferenceEngine(bundle, config=FoldInConfig(n_sweeps=sweeps))
     batcher = MicroBatcher(
         engine,
         max_batch=args.max_batch,

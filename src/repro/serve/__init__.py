@@ -3,7 +3,8 @@
 An HTTP API answering "what does this recipe feel like in the mouth?":
 a fitted joint model + :class:`~repro.core.linkage.TopicLinker` are
 loaded from the artifact store once and held warm; unseen recipes are
-folded in with seeded collapsed Gibbs passes, micro-batched across
+folded in with the seeded collapsed Gibbs passes of
+:class:`repro.core.estimator.TextureEstimator`, micro-batched across
 concurrent requests; answers carry predicted texture terms, the
 KL-linked rheology settings and a DishTwin-style ok/review confidence.
 
@@ -22,6 +23,7 @@ Programmatic use::
 See ``docs/serving.md`` for the endpoint contracts.
 """
 
+from repro.core.estimator import FoldInConfig, request_seed
 from repro.serve.app import (
     ServeApp,
     TextureServer,
@@ -30,12 +32,7 @@ from repro.serve.app import (
     status_of,
 )
 from repro.serve.batch import MicroBatcher
-from repro.serve.engine import (
-    FoldInConfig,
-    InferenceEngine,
-    ModelBundle,
-    request_seed,
-)
+from repro.serve.engine import InferenceEngine, ModelBundle
 from repro.serve.schemas import (
     CONFIDENCE_VALUES,
     SCHEMA_VERSION,

@@ -12,7 +12,7 @@ window that holds each batch open for later arrivals.
 
 Batching is invisible in the results: every request derives its RNG
 stream from its own content (see
-:func:`repro.serve.engine.request_seed`), so a request's posterior is
+:func:`repro.core.estimator.request_seed`), so a request's posterior is
 bit-identical whether it ran alone, in a batch of eight, or interleaved
 with different neighbours. ``tests/serve/test_batch.py`` pins this
 batched-equals-sequential equivalence.

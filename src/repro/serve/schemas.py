@@ -21,6 +21,7 @@ import json
 from dataclasses import dataclass
 from typing import Any, Mapping
 
+from repro.core.estimator import canonical_key
 from repro.errors import BadRequestError
 
 #: Version stamped into every response envelope.
@@ -127,23 +128,14 @@ class TextureRequest:
         )
 
     def canonical(self) -> str:
-        """A canonical encoding of the request content.
+        """The request content's canonical key
+        (:func:`repro.core.estimator.canonical_key`).
 
         Two requests with the same canonical form are *the same
         question* and must get bit-identical answers — this string seeds
-        the per-request RNG stream (see
-        :func:`repro.serve.engine.request_seed`).
+        the per-request RNG stream, as it does for ``repro estimate``.
         """
-        return json.dumps(
-            {
-                "ingredients": list(self.ingredients),
-                "description": self.description,
-                "terms": list(self.terms),
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-            ensure_ascii=True,
-        )
+        return canonical_key(self.ingredients, self.description, self.terms)
 
 
 @dataclass(frozen=True)

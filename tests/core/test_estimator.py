@@ -1,14 +1,18 @@
 """Tests for repro.core.estimator — fold-in texture estimation."""
 
+import itertools
+
 import numpy as np
 import pytest
+from scipy.special import gammaln, softmax
 
-from repro.core.estimator import TextureEstimator
+from repro.core.estimator import TextureEstimator, gibbs_fold_in
 from repro.core.joint_model import JointModelConfig
 from repro.corpus.recipe import Ingredient, Recipe
 from repro.errors import ModelError
 from repro.lexicon.categories import SensoryAxis
 from repro.pipeline.experiment import ExperimentConfig, run_experiment
+from repro.rng import ensure_rng
 from repro.synth.presets import CorpusPreset
 
 
@@ -120,3 +124,69 @@ class TestEstimate:
         estimate = estimator.estimate(r)
         if not estimate.linked_settings:
             assert estimate.expected_rheology() is None
+
+
+class TestGibbsFoldIn:
+    """The fold-in against exact enumeration on a hand-made K=3, V=4 model.
+
+    θ ~ Dir(α) is shared by the tokens' topics z and the concentration
+    topic y, so p(y=k | w, g) ∝ p(g | k) · (α + E[n_k | w]), where the
+    expectation is over p(z | w) ∝ ∏_k Γ(α + n_k) · ∏_i φ[z_i, w_i].
+    """
+
+    PHI = np.array(
+        [
+            [0.70, 0.10, 0.10, 0.10],
+            [0.10, 0.60, 0.20, 0.10],
+            [0.25, 0.25, 0.25, 0.25],
+        ]
+    )
+    ALPHA = 1.0  # the joint model's default
+    GELS = {
+        "flat": np.zeros(3),
+        "skewed": np.array([-0.5, 0.0, -2.0]),
+    }
+    TOKENS = [(), (0,), (1, 3), (0, 1, 2), (1, 1, 0, 3)]
+
+    def exact(self, log_gel, tokens):
+        n_topics = self.PHI.shape[0]
+        weights, counts = [], []
+        for z in itertools.product(range(n_topics), repeat=len(tokens)):
+            n = np.bincount(np.array(z, dtype=int), minlength=n_topics)
+            weights.append(
+                np.exp(gammaln(self.ALPHA + n).sum())
+                * np.prod([self.PHI[k, w] for k, w in zip(z, tokens)])
+            )
+            counts.append(n)
+        expected = np.average(counts, axis=0, weights=weights)
+        posterior = np.exp(log_gel) * (self.ALPHA + expected)
+        return posterior / posterior.sum()
+
+    def fold_in(self, log_gel, tokens, n_sweeps):
+        return gibbs_fold_in(
+            self.PHI,
+            self.ALPHA,
+            log_gel,
+            np.array(tokens, dtype=np.int64),
+            n_sweeps,
+            ensure_rng(2022),
+        )
+
+    @pytest.mark.parametrize("gel", sorted(GELS))
+    def test_no_tokens_is_the_gel_softmax(self, gel):
+        log_gel = self.GELS[gel]
+        posterior = self.fold_in(log_gel, (), 48)
+        np.testing.assert_allclose(posterior, softmax(log_gel), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(
+            self.exact(log_gel, ()), softmax(log_gel), rtol=0, atol=1e-12
+        )
+
+    @pytest.mark.parametrize("tokens", TOKENS[1:], ids=str)
+    @pytest.mark.parametrize("gel", sorted(GELS))
+    def test_matches_exact_enumeration(self, gel, tokens):
+        log_gel = self.GELS[gel]
+        posterior = self.fold_in(log_gel, tokens, 4000)
+        assert posterior.sum() == pytest.approx(1.0)
+        np.testing.assert_allclose(
+            posterior, self.exact(log_gel, tokens), rtol=0, atol=0.02
+        )

@@ -28,6 +28,4 @@ def bundle(tiny_result):
 @pytest.fixture(scope="session")
 def engine(bundle):
     """A warm engine with short fold-in sweeps (tests favour speed)."""
-    return InferenceEngine(
-        bundle, FoldInConfig(n_sweeps=12, burn_in=4)
-    )
+    return InferenceEngine(bundle, FoldInConfig(n_sweeps=12))

@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 from repro.artifacts.store import ArtifactStore
-from repro.errors import BadRequestError, ServeError, UnknownTermError
+from repro.core.estimator import TextureEstimator
+from repro.corpus.recipe import Ingredient, Recipe
+from repro.errors import (
+    BadRequestError,
+    ModelError,
+    ServeError,
+    UnknownTermError,
+)
 from repro.serve import (
     FoldInConfig,
     InferenceEngine,
@@ -23,6 +30,9 @@ GELATIN = TextureRequest(
 KANTEN = TextureRequest(
     ingredients=(("kanten", "4 g"), ("water", "300 ml")),
     description="boiled then cooled into a crisp jelly",
+)
+COLD_START = TextureRequest(
+    ingredients=(("gelatin", "3 g"), ("juice", "450 ml"), ("sugar", "oosaji 2")),
 )
 
 
@@ -53,12 +63,8 @@ class TestRequestSeed:
 
 
 class TestFoldInConfig:
-    def test_rejects_burn_in_at_or_past_sweeps(self):
-        with pytest.raises(ServeError):
-            FoldInConfig(n_sweeps=8, burn_in=8)
-
     def test_rejects_bad_threshold(self):
-        with pytest.raises(ServeError):
+        with pytest.raises(ModelError):
             FoldInConfig(ok_threshold=0.0)
 
 
@@ -84,11 +90,11 @@ class TestInfer:
 
     def test_status_follows_threshold(self, bundle):
         eager = InferenceEngine(
-            bundle, FoldInConfig(n_sweeps=12, burn_in=4, ok_threshold=1e-6)
+            bundle, FoldInConfig(n_sweeps=12, ok_threshold=1e-6)
         )
         assert eager.infer(GELATIN).status == "ok"
         strict = InferenceEngine(
-            bundle, FoldInConfig(n_sweeps=12, burn_in=4, ok_threshold=1.0)
+            bundle, FoldInConfig(n_sweeps=12, ok_threshold=1.0)
         )
         assert strict.infer(GELATIN).status == "review"
 
@@ -123,6 +129,40 @@ class TestInfer:
 
     def test_response_carries_model_fingerprint(self, engine, bundle):
         assert engine.infer(GELATIN).model_fingerprint == bundle.fingerprint
+
+
+class TestOneFoldIn:
+    """``TextureEstimator.estimate`` (``repro estimate``, the examples)
+    returns exactly the served posterior for the same recipe."""
+
+    @pytest.mark.parametrize("case", ["cold-start", "gelatin", "kanten", "terms"])
+    def test_estimate_matches_served_answer(self, tiny_result, case):
+        engine = InferenceEngine(ModelBundle.from_result(tiny_result))
+        request = {
+            "cold-start": COLD_START,
+            "gelatin": GELATIN,
+            "kanten": KANTEN,
+            "terms": TextureRequest(
+                ingredients=GELATIN.ingredients,
+                description=" ".join(engine.vocabulary[2:5]),
+                terms=engine.vocabulary[:2],
+            ),
+        }[case]
+        recipe = Recipe(
+            recipe_id=case,
+            title=case,
+            description=request.description,
+            ingredients=tuple(Ingredient(*pair) for pair in request.ingredients),
+        )
+        served = engine.infer(request)
+        estimate = TextureEstimator(tiny_result).estimate(
+            recipe, terms=request.terms
+        )
+        assert tuple(estimate.topic_distribution.tolist()) == (
+            served.topic_distribution
+        )
+        assert estimate.topic == served.topic
+        assert estimate.seed == served.seed
 
 
 class TestTermProfile:
@@ -161,7 +201,7 @@ class TestModelBundle:
         )
         loaded = ModelBundle.load(ArtifactStore(str(tmp_path)))
         disk_engine = InferenceEngine(
-            loaded, FoldInConfig(n_sweeps=12, burn_in=4)
+            loaded, FoldInConfig(n_sweeps=12)
         )
         mine = engine.infer(GELATIN)
         theirs = disk_engine.infer(GELATIN)

@@ -131,6 +131,34 @@ class TestErrorPaths:
         assert payload["error"]["type"] == "BadRequestError"
 
 
+class TestFoldInTokenCap:
+    """A request may fold in at most 256 in-vocabulary tokens."""
+
+    @staticmethod
+    def body(surface, in_description, in_terms):
+        return json.dumps(
+            {
+                "ingredients": {"gelatin": "10 g", "water": "200 ml"},
+                "description": " ".join([surface] * in_description),
+                "terms": [surface] * in_terms,
+            }
+        ).encode("utf-8")
+
+    def test_256_tokens_are_served(self, app, engine):
+        body = self.body(engine.vocabulary[0], 6, 250)
+        status, payload = app.handle("POST", "/v1/texture", body)
+        assert status == 200
+        assert payload["status"] in ("ok", "review")
+
+    def test_257_tokens_are_400(self, app, engine):
+        """Description tokens and explicit terms count together."""
+        body = self.body(engine.vocabulary[0], 7, 250)
+        status, payload = app.handle("POST", "/v1/texture", body)
+        assert status == 400
+        assert payload["error"]["type"] == "BadRequestError"
+        assert "257" in payload["error"]["message"]
+
+
 class TestLiveServer:
     @pytest.fixture(scope="class")
     def base_url(self, engine):
