@@ -24,9 +24,8 @@ import shutil
 import tempfile
 import time
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, Iterator, Mapping
 
-from repro.artifacts.chunks import ChunkReader, ChunkWriter
 from repro.artifacts.stage import Stage
 from repro.errors import ArtifactError
 from repro.obs import metrics
@@ -116,64 +115,6 @@ class ArtifactStore:
             self.size_of(final)
         )
         return final
-
-    def put_chunked(
-        self,
-        stage_name: str,
-        fingerprint: str,
-        chunks: Iterable[bytes],
-        manifest: Mapping[str, Any],
-    ) -> Path:
-        """Store a streamed sequence of byte chunks under ``fingerprint``.
-
-        Chunks are consumed lazily and written one at a time, so memory
-        stays bounded by the largest single chunk. Each chunk's SHA-256
-        and the rolled payload digest land in both the ``chunks.json``
-        index and the manifest (``chunks`` / ``payload_digest`` keys),
-        rolling the per-chunk hashes into the artifact's provenance. The
-        manifest is still written last inside the staging directory, so
-        completeness semantics are identical to :meth:`put`.
-        """
-        final = self.artifact_dir(stage_name, fingerprint)
-        if self.has(stage_name, fingerprint):
-            return final
-        final.parent.mkdir(parents=True, exist_ok=True)
-        staging = Path(
-            tempfile.mkdtemp(prefix=f".{fingerprint}-", dir=final.parent)
-        )
-        try:
-            writer = ChunkWriter(staging)
-            for data in chunks:
-                writer.add(data)
-            index = writer.finalize()
-            body = {
-                "manifest_version": MANIFEST_VERSION,
-                "chunks": index["digests"],
-                "payload_digest": index["combined"],
-                **manifest,
-            }
-            with (staging / _MANIFEST).open("w", encoding="utf-8") as handle:
-                json.dump(body, handle, indent=2, sort_keys=True)
-            try:
-                os.replace(staging, final)
-            except OSError:
-                if not self.has(stage_name, fingerprint):
-                    raise
-        finally:
-            if staging.exists():
-                shutil.rmtree(staging, ignore_errors=True)
-        metrics.registry.counter("cache.bytes_written").inc(
-            self.size_of(final)
-        )
-        return final
-
-    def open_chunked(self, stage_name: str, fingerprint: str) -> ChunkReader:
-        """Open a chunked artifact for verified chunk-by-chunk reads."""
-        if not self.has(stage_name, fingerprint):
-            raise ArtifactError(
-                f"no {stage_name} artifact with fingerprint {fingerprint}"
-            )
-        return ChunkReader.open(self.artifact_dir(stage_name, fingerprint))
 
     def load(self, stage: Stage, fingerprint: str) -> tuple[Any, dict[str, Any]]:
         """Load one artifact; returns ``(payload, manifest)``."""

@@ -239,24 +239,6 @@ class _BatchedStudentT:
         return self._norm[idx] - 0.5 * (dof + d) * np.log1p(quad / dof)
 
 
-class _CachedPredictive:
-    """Single-topic view of :class:`_BatchedStudentT` (K = 1).
-
-    Kept as the scalar API used by diagnostics and tests; the sampler
-    itself uses the batched form directly.
-    """
-
-    def __init__(self, prior: NormalWishartPrior) -> None:
-        self.prior = prior
-        self._batch = _BatchedStudentT(prior, 1)
-
-    def invalidate(self) -> None:
-        self._batch.invalidate(0)
-
-    def logpdf(self, stats: "_SuffStats", x: np.ndarray) -> float:
-        return float(self._batch.logpdf_all([stats], x)[0])
-
-
 class CollapsedJointModel:
     """Rao-Blackwellised joint model: Gaussians integrated out."""
 

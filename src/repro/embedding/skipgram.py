@@ -20,7 +20,6 @@ import numpy as np
 
 from repro.embedding.vocab import Vocabulary
 from repro.errors import ModelError, NotFittedError
-from repro.parallel import ParallelConfig, run_tasks
 from repro.rng import RngLike, ensure_rng
 
 
@@ -71,12 +70,6 @@ def _sentence_pairs(
     return arr
 
 
-def _epoch_shard_task(payload, rng) -> np.ndarray:
-    """One epoch's pair generation (module-level for process pools)."""
-    vocab, window, sentences = payload
-    return _sentence_pairs(vocab, window, sentences, rng)
-
-
 class SkipGramModel:
     """Trainable SGNS embeddings over tokenised sentences."""
 
@@ -89,21 +82,9 @@ class SkipGramModel:
     # -- training ------------------------------------------------------------
 
     def fit(
-        self,
-        sentences: Sequence[Sequence[str]],
-        rng: RngLike = None,
-        parallel: ParallelConfig | None = None,
+        self, sentences: Sequence[Sequence[str]], rng: RngLike = None
     ) -> "SkipGramModel":
-        """Train on ``sentences`` (lists of tokens).
-
-        ``parallel`` shards the per-epoch (centre, context) pair
-        generation across the configured backend; the SGD updates stay
-        sequential (they are order-dependent). With no ``parallel`` (or
-        a serial backend) the training stream is bit-identical to
-        earlier releases; parallel backends use per-epoch spawned
-        streams instead — statistically equivalent, and identical
-        between the thread and process backends.
-        """
+        """Train on ``sentences`` (lists of tokens)."""
         cfg = self.config
         generator = ensure_rng(rng)
         self.vocab = Vocabulary(
@@ -115,19 +96,10 @@ class SkipGramModel:
         )
         self.output_vectors = np.zeros((v, cfg.dim))
 
-        if parallel is None or parallel.resolve_backend() == "serial":
-            pair_batches = [
-                self._make_pairs(sentences, generator)
-                for _ in range(cfg.epochs)
-            ]
-        else:
-            payload = (self.vocab, cfg.window, list(sentences))
-            pair_batches = run_tasks(
-                _epoch_shard_task,
-                [payload] * cfg.epochs,
-                rng=generator,
-                config=parallel,
-            )
+        pair_batches = [
+            _sentence_pairs(self.vocab, cfg.window, sentences, generator)
+            for _ in range(cfg.epochs)
+        ]
         total_batches = 0
         for pairs in pair_batches:
             if pairs.shape[0] == 0:
@@ -146,13 +118,6 @@ class SkipGramModel:
                 )
                 seen_batches += 1
         return self
-
-    def _make_pairs(
-        self, sentences: Iterable[Sequence[str]], rng: np.random.Generator
-    ) -> np.ndarray:
-        """(centre, context) id pairs for one epoch, shuffled."""
-        assert self.vocab is not None
-        return _sentence_pairs(self.vocab, self.config.window, sentences, rng)
 
     def _train_batch(
         self, pairs: np.ndarray, lr: float, rng: np.random.Generator

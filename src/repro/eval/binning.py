@@ -10,12 +10,11 @@ that series.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from repro.errors import ReproError
-from repro.eval.divergence import concentration_kl
 from repro.lexicon.categories import SensoryAxis
 from repro.lexicon.dictionary import TextureDictionary
 
@@ -54,16 +53,6 @@ def recipe_axis_sign(
     if score < 0:
         return -1
     return 0
-
-
-def kl_ranking(
-    emulsion_shares: Sequence[np.ndarray],
-    dish_shares: np.ndarray,
-    divergence: Callable[[np.ndarray, np.ndarray], float] = concentration_kl,
-) -> np.ndarray:
-    """KL divergence of each recipe's emulsion shares to the dish's."""
-    dish = np.asarray(dish_shares, dtype=float)
-    return np.array([divergence(np.asarray(e, float), dish) for e in emulsion_shares])
 
 
 def kl_ordered_bins(

@@ -66,15 +66,6 @@ def point_gaussian_kl(
     return gaussian_kl(point, cov_p, mean, cov)
 
 
-def symmetric_gaussian_kl(
-    mean_p: np.ndarray, cov_p: np.ndarray, mean_q: np.ndarray, cov_q: np.ndarray
-) -> float:
-    """Jeffreys divergence: KL(p‖q) + KL(q‖p)."""
-    return gaussian_kl(mean_p, cov_p, mean_q, cov_q) + gaussian_kl(
-        mean_q, cov_q, mean_p, cov_p
-    )
-
-
 def discrete_kl(p: np.ndarray, q: np.ndarray, eps: float = 1e-9) -> float:
     """KL(p ‖ q) for discrete distributions, with ε-smoothing."""
     p = np.asarray(p, dtype=float)

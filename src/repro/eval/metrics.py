@@ -1,8 +1,8 @@
 """Clustering and topic-quality metrics.
 
 Used by the ablation benches to compare the joint model against the
-LDA / GMM baselines on ground-truth gel bands: purity, normalised mutual
-information, V-measure, and UMass topic coherence.
+LDA / GMM baselines: purity and normalised mutual information against
+the ground-truth gel bands, and per-token word perplexity.
 """
 
 from __future__ import annotations
@@ -64,24 +64,6 @@ def normalized_mutual_information(labels_a: Sequence, labels_b: Sequence) -> flo
     return float(np.clip(mutual_information(labels_a, labels_b) / denominator, 0, 1))
 
 
-def v_measure(predicted: Sequence, truth: Sequence, beta: float = 1.0) -> float:
-    """V-measure: harmonic mean of homogeneity and completeness."""
-    table = _contingency(predicted, truth).astype(float)
-    h_truth = _entropy(table.sum(axis=0))
-    h_pred = _entropy(table.sum(axis=1))
-    mi = mutual_information(predicted, truth)
-    homogeneity = 1.0 if h_truth == 0 else mi / h_truth
-    completeness = 1.0 if h_pred == 0 else mi / h_pred
-    if homogeneity + completeness == 0:
-        return 0.0
-    return float(
-        (1 + beta)
-        * homogeneity
-        * completeness
-        / (beta * homogeneity + completeness)
-    )
-
-
 def word_perplexity(
     docs: Sequence[np.ndarray],
     phi: np.ndarray,
@@ -109,29 +91,3 @@ def word_perplexity(
     if total_tokens == 0:
         raise ReproError("no tokens to score")
     return float(np.exp(-total_log / total_tokens))
-
-
-def umass_coherence(
-    top_words: Sequence[int],
-    doc_term: np.ndarray,
-    eps: float = 1.0,
-) -> float:
-    """UMass coherence of one topic's top words.
-
-    ``doc_term`` is a (D, V) presence/count matrix; higher (less
-    negative) coherence means the topic's words co-occur in documents.
-    """
-    doc_term = np.asarray(doc_term) > 0
-    words = list(top_words)
-    if len(words) < 2:
-        return 0.0
-    score = 0.0
-    pairs = 0
-    for i in range(1, len(words)):
-        for j in range(i):
-            co = float(np.logical_and(doc_term[:, words[i]], doc_term[:, words[j]]).sum())
-            base = float(doc_term[:, words[j]].sum())
-            if base > 0:
-                score += np.log((co + eps) / base)  # repro: noqa[NUM002] - base > 0 guarded on the line above
-                pairs += 1
-    return float(score / max(pairs, 1))

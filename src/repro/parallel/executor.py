@@ -1,10 +1,10 @@
 """Backend-pluggable task execution with seeded RNG fan-out.
 
 Every parallelisable stage in this package (Gibbs restarts, collapsed
-cross-check chains, skip-gram epoch shards, benchmark repetitions) has
-the same shape: N independent tasks, each needing its own reproducible
-random stream, whose results are consumed in task order. This module
-provides that shape once, behind three interchangeable backends:
+cross-check chains, benchmark repetitions) has the same shape: N
+independent tasks, each needing its own reproducible random stream,
+whose results are consumed in task order. This module provides that
+shape once, behind three interchangeable backends:
 
 * ``serial``  — a plain loop in the calling process (the default, and
   the reference semantics every other backend must reproduce);

@@ -19,7 +19,9 @@ Every durable stage output of the pipeline has a serialiser here:
 
 All loaders reproduce their input bit-identically (arrays compare with
 ``==``, dataclasses compare equal), which is what lets the artifact
-store swap a cached load for a fresh computation.
+store swap a cached load for a fresh computation. A damaged ``.npz``
+archive (truncated, or with flipped bytes) raises
+:class:`~repro.errors.ModelError` naming its path.
 """
 
 from __future__ import annotations
@@ -27,8 +29,11 @@ from __future__ import annotations
 import dataclasses
 import gzip
 import json
+import zipfile
+import zlib
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Iterator, Mapping
 
 import numpy as np
 
@@ -72,6 +77,29 @@ _RETIRED_CONFIG_KEYS = frozenset({"n_shards"})
 _MODEL_TAG_JOINT = "gibbs"
 _MODEL_TAG_COLLAPSED = "collapsed"
 _MODEL_TAG_VB = "vb"
+
+
+#: What zipfile, zlib and numpy raise on a truncated or bit-flipped
+#: ``.npz``. ``RuntimeError`` covers zipfile's ``NotImplementedError``
+#: for a garbled version, compression method or flag bits.
+_DAMAGED_ARCHIVE = (
+    zipfile.BadZipFile, zlib.error, EOFError, KeyError, RuntimeError, ValueError
+)
+
+
+@contextmanager
+def _open_npz(path: Path) -> Iterator[Any]:
+    """``np.load`` one ``.npz`` archive; reading a damaged one raises
+    :class:`~repro.errors.ModelError` naming ``path``.
+
+    The file is opened here, not by ``np.load``, which leaves its own
+    handle open when the zip directory fails to parse.
+    """
+    try:
+        with path.open("rb") as handle, np.load(handle, allow_pickle=False) as archive:
+            yield archive
+    except _DAMAGED_ARCHIVE as exc:
+        raise ModelError(f"{path} is a damaged archive: {exc}") from exc
 
 
 def _npz_path(path: Path) -> Path:
@@ -190,7 +218,7 @@ def load_model(
     :class:`~repro.core.joint_model.JointTextureTopicModel`.
     """
     path = Path(path)
-    with np.load(path, allow_pickle=False) as archive:
+    with _open_npz(path) as archive:
         header = _decode_header(archive, path, FORMAT)
         version = header.get("version")
         if version not in (1, FORMAT_VERSION):
@@ -382,7 +410,7 @@ def load_dataset(path: str | Path) -> Any:
     from repro.pipeline.dataset import TextureDataset
 
     path = Path(path)
-    with np.load(path, allow_pickle=False) as archive:
+    with _open_npz(path) as archive:
         try:
             header = _decode_header(archive, path, DATASET_FORMAT)
         except ModelError as exc:
@@ -482,7 +510,7 @@ def load_linker(path: str | Path) -> Any:
     from repro.core.linkage import TopicLinker
 
     path = Path(path)
-    with np.load(path, allow_pickle=False) as archive:
+    with _open_npz(path) as archive:
         try:
             header = _decode_header(archive, path, LINKER_FORMAT)
         except ModelError as exc:

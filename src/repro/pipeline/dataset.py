@@ -70,41 +70,6 @@ class TextureDataset:
         """Per-recipe term-frequency maps, aligned with ``features``."""
         return [f.term_counts for f in self.features]
 
-    def subset(self, indices: Sequence[int]) -> "TextureDataset":
-        """A dataset restricted to ``indices`` (vocabulary unchanged).
-
-        Used for held-out evaluation: both halves of a split keep the
-        full vocabulary so fold-in scoring is well-defined.
-        """
-        indices = list(indices)
-        if not indices:
-            raise CorpusError("empty subset")
-        return TextureDataset(
-            features=tuple(self.features[i] for i in indices),
-            vocabulary=self.vocabulary,
-            docs=tuple(self.docs[i] for i in indices),
-            gel_log=self.gel_log[indices],
-            emulsion_log=self.emulsion_log[indices],
-            gel_raw=self.gel_raw[indices],
-            emulsion_raw=self.emulsion_raw[indices],
-            excluded_terms=self.excluded_terms,
-            funnel={**dict(self.funnel), "subset_of": len(self.features)},
-        )
-
-    def split(
-        self, heldout_fraction: float, rng: RngLike = None
-    ) -> tuple["TextureDataset", "TextureDataset"]:
-        """Random (train, heldout) split."""
-        if not 0.0 < heldout_fraction < 1.0:
-            raise CorpusError("heldout_fraction must be in (0, 1)")
-        n = len(self.features)
-        order = ensure_rng(rng).permutation(n)
-        cut = max(int(round(n * heldout_fraction)), 1)
-        if cut >= n:
-            raise CorpusError("split leaves no training data")
-        heldout, train = order[:cut], order[cut:]
-        return self.subset(sorted(train)), self.subset(sorted(heldout))
-
 
 class DatasetBuilder:
     """Builds a :class:`TextureDataset` from posted recipes."""

@@ -9,7 +9,7 @@ deterministically derived streams via :func:`spawn`.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -58,10 +58,3 @@ def derive(rng: RngLike, label: str) -> np.random.Generator:
     salt = np.frombuffer(label.encode("utf-8"), dtype=np.uint8).sum()
     mix = int(base.integers(0, 2**31 - 1)) ^ (int(salt) * 2654435761 % 2**31)
     return np.random.default_rng(mix)
-
-
-def seed_of(rng: RngLike) -> Optional[int]:
-    """Return the integer seed when ``rng`` is one, else ``None``."""
-    if isinstance(rng, (int, np.integer)):
-        return int(rng)
-    return None

@@ -84,6 +84,7 @@ class TextureRequest:
                 "{name, quantity} objects or a name->quantity mapping"
             )
         ingredients: list[tuple[str, str]] = []
+        names: set[str] = set()
         if isinstance(raw, dict):
             items: list[Any] = [
                 {"name": name, "quantity": quantity}
@@ -104,7 +105,11 @@ class TextureRequest:
                 raise BadRequestError(
                     f"ingredient {name!r} needs a 'quantity' string"
                 )
-            ingredients.append((name.strip(), quantity.strip()))
+            name = name.strip()
+            if name in names:
+                raise BadRequestError(f"ingredient {name!r} is listed twice")
+            names.add(name)
+            ingredients.append((name, quantity.strip()))
         description = payload.get("description", "")
         if not isinstance(description, str):
             raise BadRequestError("'description' must be a string")

@@ -18,7 +18,7 @@ whether it predicts what consumers say
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
@@ -126,11 +126,3 @@ class ReviewGenerator:
             for _ in range(int(self.rng.poisson(reviews_per_recipe))):
                 reviews.append(self.review_for(recipe_id, truth.profile))
         return reviews
-
-
-def reviews_by_recipe(reviews: Iterable[Review]) -> Mapping[str, list[Review]]:
-    """Group reviews by recipe id."""
-    grouped: dict[str, list[Review]] = {}
-    for review in reviews:
-        grouped.setdefault(review.recipe_id, []).append(review)
-    return grouped

@@ -29,6 +29,7 @@ from repro.artifacts.chunks import (
     chunk_filename,
     combined_digest,
 )
+from repro.artifacts.stage import Stage
 from repro.artifacts.store import ArtifactStore
 from repro.errors import ArtifactError
 
@@ -115,38 +116,37 @@ class TestChunkVerification:
             ChunkReader.open(tmp_path)
 
 
-class TestStoreChunked:
-    def test_put_open_round_trip(self, tmp_path):
-        store = ArtifactStore(tmp_path)
-        blobs = [b"one", b"two", b"three"]
-        store.put_chunked("corpus", "ff" * 8, iter(blobs), {"stage": "corpus"})
-        assert store.has("corpus", "ff" * 8)
-        manifest = store.read_manifest("corpus", "ff" * 8)
-        assert manifest["chunks"] == [chunk_digest(b) for b in blobs]
-        assert manifest["payload_digest"] == combined_digest(manifest["chunks"])
-        reader = store.open_chunked("corpus", "ff" * 8)
-        assert list(reader) == blobs
+class ChunkedBlobs(Stage[list]):
+    """A stage whose payload, a list of byte blobs, is saved as chunks."""
 
-    def test_put_chunked_idempotent(self, tmp_path):
-        store = ArtifactStore(tmp_path)
-        store.put_chunked("corpus", "ab" * 8, [b"v1"], {})
-        store.put_chunked("corpus", "ab" * 8, [b"SHOULD NOT OVERWRITE"], {})
-        assert list(store.open_chunked("corpus", "ab" * 8)) == [b"v1"]
+    name = "corpus"
 
-    def test_open_missing_artifact(self, tmp_path):
-        with pytest.raises(ArtifactError, match="no corpus artifact"):
-            ArtifactStore(tmp_path).open_chunked("corpus", "0" * 16)
+    def config_of(self, config):
+        return {}
+
+    def compute(self, config, inputs, rng):
+        raise NotImplementedError
+
+    def save(self, payload, directory):
+        write_chunks(directory, payload)
+
+    def load(self, directory):
+        return list(ChunkReader.open(directory))
+
+
+CHUNKED = ChunkedBlobs()
 
 
 class TestGcChunkedAtomicity:
     def _store_with_unreferenced_chunked(self, tmp_path):
         store = ArtifactStore(tmp_path)
-        store.put_chunked("corpus", "cc" * 8, [b"a", b"b"], {"stage": "corpus"})
+        store.put(CHUNKED, "cc" * 8, [b"a", b"b"], {"stage": "corpus"})
         return store
 
     def test_gc_collects_chunk_dir_and_manifest_as_one_unit(self, tmp_path):
         store = self._store_with_unreferenced_chunked(tmp_path)
         directory = store.artifact_dir("corpus", "cc" * 8)
+        assert store.load(CHUNKED, "cc" * 8)[0] == [b"a", b"b"]
         removed, freed = store.gc(keep_runs=0)
         assert directory in removed
         assert freed > 0
@@ -175,7 +175,7 @@ class TestGcChunkedAtomicity:
         assert directory.exists()
         assert not store.has("corpus", "cc" * 8)
         with pytest.raises(ArtifactError):
-            store.open_chunked("corpus", "cc" * 8)
+            store.load(CHUNKED, "cc" * 8)
         assert list(store.iter_artifacts()) == []
 
         removed, _ = store.gc(keep_runs=0)

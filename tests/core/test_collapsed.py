@@ -70,53 +70,53 @@ class TestSuffStats:
 class TestCachedPredictive:
     def test_empty_topic_uses_prior(self, rng):
         from repro.core import normal_wishart as nw
-        from repro.core.collapsed import _CachedPredictive
+        from repro.core.collapsed import _BatchedStudentT
 
         data = rng.normal(size=(30, 3))
         prior = NormalWishartPrior.vague(data)
-        pred = _CachedPredictive(prior)
+        pred = _BatchedStudentT(prior, 1)
         x = rng.normal(size=3)
-        assert pred.logpdf(_SuffStats.empty(3), x) == pytest.approx(
+        assert pred.logpdf_all([_SuffStats.empty(3)], x)[0] == pytest.approx(
             nw.log_predictive(prior, x)
         )
 
     def test_cache_invalidation_tracks_moves(self, rng):
         from repro.core import normal_wishart as nw
-        from repro.core.collapsed import _CachedPredictive
+        from repro.core.collapsed import _BatchedStudentT
 
         data = rng.normal(size=(20, 3))
         prior = NormalWishartPrior.vague(data)
         stats = _SuffStats.empty(3)
-        pred = _CachedPredictive(prior)
+        pred = _BatchedStudentT(prior, 1)
         x = rng.normal(size=3)
 
         for point in data[:10]:
             stats.add(point)
-        first = pred.logpdf(stats, x)
+        first = pred.logpdf_all([stats], x)[0]
         assert first == pytest.approx(
             nw.log_predictive(nw.posterior(prior, data[:10]), x)
         )
         # move five more points in; a stale cache would return `first`
         for point in data[10:15]:
             stats.add(point)
-        pred.invalidate()
-        second = pred.logpdf(stats, x)
+        pred.invalidate(0)
+        second = pred.logpdf_all([stats], x)[0]
         assert second == pytest.approx(
             nw.log_predictive(nw.posterior(prior, data[:15]), x)
         )
         assert second != pytest.approx(first)
 
     def test_repeated_reads_hit_cache(self, rng):
-        from repro.core.collapsed import _CachedPredictive
+        from repro.core.collapsed import _BatchedStudentT
 
         data = rng.normal(size=(10, 2))
         prior = NormalWishartPrior.vague(data)
         stats = _SuffStats.empty(2)
         for point in data:
             stats.add(point)
-        pred = _CachedPredictive(prior)
+        pred = _BatchedStudentT(prior, 1)
         x = rng.normal(size=2)
-        assert pred.logpdf(stats, x) == pred.logpdf(stats, x)
+        assert pred.logpdf_all([stats], x)[0] == pred.logpdf_all([stats], x)[0]
 
 
 class TestCollapsedModel:

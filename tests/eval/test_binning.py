@@ -6,7 +6,6 @@ import pytest
 from repro.errors import ReproError
 from repro.eval.binning import (
     kl_ordered_bins,
-    kl_ranking,
     low_kl_concentration,
     recipe_axis_sign,
 )
@@ -31,14 +30,6 @@ class TestRecipeAxisSign:
 
     def test_no_terms_neutral(self, dictionary):
         assert recipe_axis_sign({}, H, dictionary) == 0
-
-
-class TestKlRanking:
-    def test_self_is_zero(self):
-        dish = np.array([0.05, 0.0, 0.0, 0.2, 0.4, 0.0])
-        ranks = kl_ranking([dish, dish * 0.5], dish)
-        assert ranks[0] == pytest.approx(0.0, abs=1e-9)
-        assert ranks[1] > ranks[0]
 
 
 class TestKlOrderedBins:

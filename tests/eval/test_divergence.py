@@ -9,7 +9,6 @@ from repro.eval.divergence import (
     discrete_kl,
     gaussian_kl,
     point_gaussian_kl,
-    symmetric_gaussian_kl,
 )
 
 
@@ -46,15 +45,6 @@ class TestGaussianKL:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ReproError):
             gaussian_kl(np.zeros(2), np.eye(2), np.zeros(3), np.eye(3))
-
-
-class TestSymmetricKL:
-    def test_symmetric(self):
-        m0, m1 = np.zeros(2), np.ones(2)
-        c0, c1 = np.eye(2), np.eye(2) * 2.0
-        assert symmetric_gaussian_kl(m0, c0, m1, c1) == pytest.approx(
-            symmetric_gaussian_kl(m1, c1, m0, c0)
-        )
 
 
 class TestPointGaussianKL:

@@ -8,8 +8,6 @@ from repro.eval.metrics import (
     mutual_information,
     normalized_mutual_information,
     purity,
-    umass_coherence,
-    v_measure,
 )
 
 
@@ -69,21 +67,6 @@ class TestMutualInformation:
         assert mi == pytest.approx(np.log(3))
 
 
-class TestVMeasure:
-    def test_perfect(self):
-        assert v_measure([0, 1], ["a", "b"]) == pytest.approx(1.0)
-
-    def test_over_clustering_penalises_completeness(self):
-        truth = ["a", "a", "a", "a"]
-        fine = [0, 1, 2, 3]
-        assert v_measure(fine, truth) < 1.0
-
-    def test_bounded(self, rng):
-        a = rng.integers(0, 4, 100)
-        b = rng.integers(0, 3, 100)
-        assert 0.0 <= v_measure(a, b) <= 1.0
-
-
 class TestWordPerplexity:
     def test_perfect_prediction_is_one(self):
         from repro.eval.metrics import word_perplexity
@@ -127,17 +110,3 @@ class TestWordPerplexity:
         with pytest.raises(ReproError):
             word_perplexity([np.array([0])], np.ones((1, 2)) / 2,
                             np.ones((2, 1)))
-
-
-class TestCoherence:
-    def test_cooccurring_words_more_coherent(self):
-        # docs where words 0,1 always co-occur; word 2 never joins them
-        doc_term = np.array(
-            [[1, 1, 0], [1, 1, 0], [1, 1, 0], [0, 0, 1], [0, 0, 1]]
-        )
-        coherent = umass_coherence([0, 1], doc_term)
-        incoherent = umass_coherence([0, 2], doc_term)
-        assert coherent > incoherent
-
-    def test_single_word_zero(self):
-        assert umass_coherence([0], np.ones((3, 2))) == 0.0

@@ -2,7 +2,6 @@
 
 import time
 
-import numpy as np
 import pytest
 
 from repro.errors import ParallelError
@@ -163,32 +162,3 @@ class TestModelIntegration:
                 reference = key
             else:
                 assert key == reference
-
-    def test_skipgram_parallel_shards_match_across_backends(self):
-        from repro.embedding.skipgram import SkipGramConfig, SkipGramModel
-
-        sentences = [
-            ["puru", "puru", "jelly", "soft"],
-            ["toro", "toro", "sauce", "thick"],
-            ["mochi", "mochi", "rice", "chewy"],
-        ] * 30
-        config = SkipGramConfig(epochs=2, dim=8, min_count=1, window=2)
-        fitted = {}
-        for backend in ("thread", "process"):
-            model = SkipGramModel(config).fit(
-                sentences, rng=3, parallel=ParallelConfig(backend=backend)
-            )
-            fitted[backend] = model.input_vectors
-        assert np.array_equal(fitted["thread"], fitted["process"])
-
-    def test_skipgram_serial_ignores_parallel_config(self):
-        """backend='serial' must follow the legacy single-stream path."""
-        from repro.embedding.skipgram import SkipGramConfig, SkipGramModel
-
-        sentences = [["a", "b", "c", "d"]] * 40
-        config = SkipGramConfig(epochs=2, dim=8, min_count=1, window=2)
-        legacy = SkipGramModel(config).fit(sentences, rng=5)
-        explicit = SkipGramModel(config).fit(
-            sentences, rng=5, parallel=ParallelConfig(backend="serial")
-        )
-        assert np.array_equal(legacy.input_vectors, explicit.input_vectors)

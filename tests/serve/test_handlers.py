@@ -108,6 +108,20 @@ class TestErrorPaths:
         )
         assert status == 400
 
+    def test_duplicate_ingredient_400_names_it(self, app):
+        body = json.dumps(
+            {
+                "ingredients": [
+                    {"name": "gelatin", "quantity": "0.0g"},
+                    {"name": "gelatin", "quantity": "0.0g"},
+                ]
+            }
+        ).encode("utf-8")
+        status, payload = app.handle("POST", "/v1/texture", body)
+        assert status == 400
+        assert payload["error"]["type"] == "BadRequestError"
+        assert "'gelatin'" in payload["error"]["message"]
+
     def test_unknown_term_404_with_clean_message(self, app):
         body = json.dumps(
             {

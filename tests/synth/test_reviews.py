@@ -5,7 +5,7 @@ import pytest
 
 from repro.lexicon.categories import SensoryAxis
 from repro.rheology.attributes import TextureProfile
-from repro.synth.reviews import Review, ReviewGenerator, reviews_by_recipe
+from repro.synth.reviews import ReviewGenerator
 
 HARD = TextureProfile(hardness=6.0, cohesiveness=0.1, adhesiveness=0.0)
 SOFT = TextureProfile(hardness=0.05, cohesiveness=0.3, adhesiveness=0.0)
@@ -71,12 +71,3 @@ class TestGenerate:
             tiny_corpus, reviews_per_recipe=0.5
         )
         assert a == b
-
-    def test_grouping(self):
-        reviews = [
-            Review("a", "x .", ()),
-            Review("b", "y .", ()),
-            Review("a", "z .", ()),
-        ]
-        grouped = reviews_by_recipe(reviews)
-        assert len(grouped["a"]) == 2 and len(grouped["b"]) == 1

@@ -1,6 +1,7 @@
 """Tests for repro.persistence."""
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,7 @@ from repro.persistence import (
     save_linker,
     save_model,
 )
+from repro.rng import ensure_rng
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -360,3 +362,43 @@ class TestLinkerSerialisation:
         path = save_model_as_dataset_impostor(tmp_path)
         with pytest.raises(ArtifactError):
             load_linker(path)
+
+
+class TestDamagedArchives:
+    """A truncated or bit-flipped ``.npz`` is a ModelError naming its path."""
+
+    @staticmethod
+    def save(kind, fitted_joint, tiny_dataset, directory):
+        from repro.core.linkage import TopicLinker
+
+        if kind == "model":
+            path = save_model(
+                fitted_joint, directory / "model.npz", tiny_dataset.vocabulary
+            )
+            return path, load_model
+        if kind == "dataset":
+            return save_dataset(tiny_dataset, directory / "dataset.npz"), load_dataset
+        linker = TopicLinker(fitted_joint)
+        return save_linker(linker, directory / "linker.npz"), load_linker
+
+    @staticmethod
+    def damage(data, how):
+        if how == "flip-64":
+            flipped = bytearray(data)
+            for i in ensure_rng(0).choice(len(data), size=64, replace=False):
+                flipped[i] ^= 0xFF
+            return bytes(flipped)
+        percent = int(how.removeprefix("cut-"))
+        return data[: len(data) * percent // 100]
+
+    @pytest.mark.parametrize(
+        "how", ["cut-90", "cut-50", "cut-10", "cut-1", "flip-64"]
+    )
+    @pytest.mark.parametrize("kind", ["model", "dataset", "linker"])
+    def test_damage_is_model_error(
+        self, kind, how, fitted_joint, tiny_dataset, tmp_path
+    ):
+        path, loader = self.save(kind, fitted_joint, tiny_dataset, tmp_path)
+        path.write_bytes(self.damage(path.read_bytes(), how))
+        with pytest.raises(ModelError, match=re.escape(str(path))):
+            loader(path)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.rng import DEFAULT_SEED, derive, ensure_rng, seed_of, spawn
+from repro.rng import DEFAULT_SEED, derive, ensure_rng, spawn
 
 
 class TestEnsureRng:
@@ -62,11 +62,5 @@ class TestDerive:
 
 
 class TestSeedOf:
-    def test_int_returns_int(self):
-        assert seed_of(9) == 9
-
-    def test_generator_returns_none(self):
-        assert seed_of(np.random.default_rng(0)) is None  # repro: noqa[RNG001] - raw generators must map to seed None
-
     def test_default_seed_is_stable(self):
         assert DEFAULT_SEED == 20220501
