@@ -33,7 +33,7 @@ def _config(seed: int) -> ExperimentConfig:
 
 def test_robustness_across_seeds(benchmark):
     def run_all():
-        # one repetition per seed, parallel when REPRO_BENCH_BACKEND says so
+        # one repetition per seed
         return dict(zip(_SEEDS, run_many([_config(s) for s in _SEEDS])))
 
     results = benchmark.pedantic(run_all, rounds=1, iterations=1)

@@ -34,10 +34,8 @@ Run modes:
   CI smoke: a 450-recipe corpus, few sweeps, plus the per-cell floor
   assertions against ``benchmarks/sampler_floor.json``.
 
-Measurement cells run through :func:`repro.parallel.run_tasks` with a
-module-level task (PAR001) but on the **serial** backend by default:
-concurrent cells would contend for cores and corrupt the timings. Set
-``REPRO_BENCH_BACKEND`` only if you accept that trade.
+Measurement cells run one after another in a plain loop: concurrent
+cells would contend for cores and corrupt the timings.
 """
 
 from __future__ import annotations
@@ -53,14 +51,12 @@ from repro.core.joint_model import JointModelConfig, JointTextureTopicModel
 from repro.core.kernels import CSRTokens, make_kernel
 from repro.core.priors import DirichletPrior
 from repro.core.state import TopicCounts, initialise_assignments
-from repro.parallel import ParallelConfig, run_tasks
 from repro.pipeline.dataset import DatasetBuilder
 from repro.rng import ensure_rng
 from repro.synth.generator import CorpusGenerator
 from repro.synth.presets import CorpusPreset
 
 _TINY = os.environ.get("REPRO_BENCH_TINY") == "1"
-_BACKEND = os.environ.get("REPRO_BENCH_BACKEND", "serial")
 
 BENCH_SEED = 11
 #: Corpus-size axis; the first entry is the primary corpus — fits and
@@ -86,16 +82,8 @@ def bench_docs(n_recipes: int, seed: int = BENCH_SEED):
     return builder.build(corpus.recipes, rng=7)
 
 
-def _measure_task(payload, rng):
-    """Time standalone z-sweeps for one (kernel, K) cell.
-
-    Module-level with an explicit rng parameter so process pools can
-    pickle it; the executor's spawned stream is unused because the
-    payload embeds its own seed (results are backend-independent,
-    timings are not).
-    """
-    del rng  # cells must be reproducible from the payload alone
-    kernel_name, docs, vocab_size, n_topics, n_sweeps, seed = payload
+def _measure_cell(kernel_name, docs, vocab_size, n_topics, n_sweeps, seed):
+    """Time standalone z-sweeps for one (kernel, K) cell."""
     generator = ensure_rng(seed)
     counts = TopicCounts(len(docs), n_topics, vocab_size)
     z = initialise_assignments(docs, counts, generator)
@@ -121,15 +109,13 @@ def _measure_task(payload, rng):
 def measure_sweeps(dataset, topic_grid=TOPIC_GRID, kernels=KERNEL_GRID):
     """tokens/sec for every (kernel, K) cell of the grid."""
     docs = list(dataset.docs)
-    payloads = [
-        (kernel, docs, dataset.vocab_size, n_topics, N_SWEEPS, BENCH_SEED)
+    return [
+        _measure_cell(
+            kernel, docs, dataset.vocab_size, n_topics, N_SWEEPS, BENCH_SEED
+        )
         for n_topics in topic_grid
         for kernel in kernels
     ]
-    return run_tasks(
-        _measure_task, payloads, rng=0,
-        config=ParallelConfig(backend=_BACKEND),
-    )
 
 
 def measure_fit(dataset, kernel: str, n_topics: int) -> float:

@@ -15,8 +15,6 @@ Environment knobs:
 * ``REPRO_BENCH_TINY=1`` — CI smoke preset: shrinks every stage so the
   whole module finishes in well under a minute while still exercising
   the serial-vs-parallel equivalence assertions.
-* ``REPRO_BENCH_BACKEND`` — backend for the restart fan-out bench
-  (default ``process``).
 """
 
 from __future__ import annotations
@@ -116,14 +114,15 @@ def test_scale_gibbs_sweeps(benchmark):
 
 
 def test_scale_parallel_restarts(benchmark):
-    """Best-of-N restart fan-out: serial vs parallel backend.
+    """Best-of-N restart fan-out: one worker vs a process pool.
 
-    Asserts the parallel fit is *equivalent* to the serial one (restart
+    Asserts the pooled fit is *equivalent* to the serial one (restart
     chains draw from pre-spawned RNG streams, so the best chain is
-    bit-identical regardless of backend) and, on hosts with enough
-    cores, that the process backend actually buys wall-clock.
+    bit-identical for any worker count) and, on hosts with enough
+    cores, that the pool actually buys wall-clock.
     """
-    backend = os.environ.get("REPRO_BENCH_BACKEND", "process")
+    cores = os.cpu_count() or 1
+    workers = min(4, cores)
     n_restarts = 4
     sweeps = 6 if _TINY else 20
     corpus = CorpusGenerator(rng=3).generate(
@@ -137,26 +136,25 @@ def test_scale_parallel_restarts(benchmark):
         dataset.vocab_size,
     )
 
-    def fit(fit_backend: str) -> JointTextureTopicModel:
+    def fit(n_workers: int) -> JointTextureTopicModel:
         config = JointModelConfig(
             n_topics=8, n_sweeps=sweeps, burn_in=sweeps // 2, thin=2,
-            n_restarts=n_restarts, backend=fit_backend,
+            n_restarts=n_restarts, n_workers=n_workers,
         )
         return JointTextureTopicModel(config).fit(*args, rng=9)
 
     serial_start = time.perf_counter()
-    serial_model = fit("serial")
+    serial_model = fit(1)
     serial_seconds = time.perf_counter() - serial_start
 
     parallel_model = benchmark.pedantic(
-        lambda: fit(backend), rounds=1, iterations=1
+        lambda: fit(workers), rounds=1, iterations=1
     )
     parallel_seconds = benchmark.stats.stats.mean
     speedup = serial_seconds / parallel_seconds
-    cores = os.cpu_count() or 1
 
     benchmark.extra_info.update({
-        "backend": backend,
+        "n_workers": workers,
         "cpu_count": cores,
         "n_restarts": n_restarts,
         "serial_seconds": round(serial_seconds, 3),
@@ -166,7 +164,7 @@ def test_scale_parallel_restarts(benchmark):
             round(s, 3) for s in parallel_model.restart_seconds_
         ],
     })
-    print(f"\nrestart fan-out ({backend}, {cores} cores): "
+    print(f"\nrestart fan-out ({workers} workers, {cores} cores): "
           f"serial {serial_seconds:.2f}s vs parallel {parallel_seconds:.2f}s "
           f"→ {speedup:.2f}x")
 
@@ -176,7 +174,7 @@ def test_scale_parallel_restarts(benchmark):
     assert np.array_equal(serial_model.y_, parallel_model.y_)
     assert serial_model.log_likelihoods_ == parallel_model.log_likelihoods_
     # perf: only meaningful where the hardware can parallelise
-    if backend == "process" and cores >= 4 and not _TINY:
+    if cores >= 4 and not _TINY:
         assert speedup >= 2.0, (
             f"expected >= 2x restart speedup on {cores} cores, "
             f"got {speedup:.2f}x"

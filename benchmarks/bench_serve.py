@@ -1,10 +1,11 @@
 """Load benchmark for the texture inference service (``repro.serve``).
 
 Starts a real :class:`~repro.serve.app.TextureServer` (port 0) backed by
-a warm engine and a thread-backend :class:`~repro.serve.batch.MicroBatcher`,
-fires ``N_REQUESTS`` ``POST /v1/texture`` requests from ``CONCURRENCY``
-client threads over HTTP, and appends one record per run to the
-``BENCH_serve.json`` trajectory at the repo root::
+a warm engine and a :class:`~repro.serve.batch.MicroBatcher`, built the
+way ``repro serve`` builds them, fires ``N_REQUESTS``
+``POST /v1/texture`` requests from ``CONCURRENCY`` client threads over
+HTTP, and appends one record per run to the ``BENCH_serve.json``
+trajectory at the repo root::
 
     {"commit": ..., "preset": "full" | "tiny", "requests": ...,
      "concurrency": ..., "requests_per_sec": ..., "p50_ms": ...,
@@ -56,7 +57,6 @@ _TINY = os.environ.get("REPRO_BENCH_TINY") == "1"
 BENCH_SEED = 3
 N_REQUESTS = 48 if _TINY else 240
 CONCURRENCY = 8
-MAX_BATCH = 8
 N_RECIPES = 250 if _TINY else 600
 N_FIT_SWEEPS = 20 if _TINY else 60
 
@@ -145,9 +145,7 @@ def measure(
 ) -> dict:
     """Serve ``n_requests`` over HTTP and summarise the load run."""
     engine = build_engine()
-    batcher = MicroBatcher(
-        engine, max_batch=MAX_BATCH, backend="thread", n_workers=4
-    )
+    batcher = MicroBatcher(engine)
     server = make_server(engine, port=0, batcher=batcher)
     thread = run_server(server)
     host, port = server.server_address[:2]

@@ -20,7 +20,6 @@ from pathlib import Path
 from typing import Sequence
 
 from repro.core.joint_model import JointModelConfig
-from repro.parallel import ParallelConfig, run_tasks
 from repro.pipeline.experiment import ExperimentConfig, ExperimentResult, run_experiment
 from repro.synth.presets import CorpusPreset
 
@@ -28,10 +27,6 @@ BENCH_SEED = 11
 
 #: Repository root: trajectories and floor files live relative to it.
 REPO_ROOT = Path(__file__).resolve().parent.parent
-
-#: Backend for benchmark repetitions (seed sweeps, robustness reruns).
-#: Overridable per run: REPRO_BENCH_BACKEND=process|thread|serial|auto.
-BENCH_BACKEND = os.environ.get("REPRO_BENCH_BACKEND", "serial")
 
 #: On-disk artifact store shared by benchmark runs. Off unless
 #: ``REPRO_CACHE_DIR`` is set: stage loads are fast but nonzero, and the
@@ -53,29 +48,9 @@ def shared_result() -> ExperimentResult:
     return run_experiment(BENCH_CONFIG, cache_dir=BENCH_CACHE_DIR)
 
 
-def _experiment_task(config: ExperimentConfig, rng) -> ExperimentResult:
-    """Run one configured pipeline (module-level for process pools).
-
-    The executor's spawned stream is ignored: each ``ExperimentConfig``
-    embeds its own seed, so a repetition's result is independent of the
-    backend it ran on.
-    """
-    return run_experiment(config)
-
-
-def run_many(
-    configs: Sequence[ExperimentConfig],
-    parallel: ParallelConfig | None = None,
-) -> list[ExperimentResult]:
-    """Run several experiment configs, optionally concurrently.
-
-    Results come back in ``configs`` order and are identical across
-    backends (seeds live in the configs). The default backend is
-    :data:`BENCH_BACKEND`, so seed-sweep benches parallelise via the
-    ``REPRO_BENCH_BACKEND`` environment variable without code changes.
-    """
-    parallel = parallel or ParallelConfig(backend=BENCH_BACKEND)
-    return run_tasks(_experiment_task, list(configs), rng=0, config=parallel)
+def run_many(configs: Sequence[ExperimentConfig]) -> list[ExperimentResult]:
+    """Run several experiment configs in order (seeds live in the configs)."""
+    return [run_experiment(config) for config in configs]
 
 
 def topic_gel_summary(result: ExperimentResult) -> dict[int, dict[str, float]]:

@@ -1,12 +1,12 @@
 """PAR001 — tasks handed to :mod:`repro.parallel` must be well-formed.
 
-``run_tasks`` pickles the task function for the process backend and
-hands every task a pre-spawned child generator. Both properties are
-easy to break silently: a lambda or nested closure pickles on the
-thread backend and then explodes (or worse, falls back to serial and
-quietly loses the speedup) the first time ``--backend process`` is
-used; a task without an ``rng`` parameter is a task that is about to
-reach for global randomness. This rule checks call sites statically:
+``run_tasks`` pickles the task function for its process pool and hands
+every task a pre-spawned child generator. Both properties are easy to
+break silently: a lambda or nested closure runs fine in the
+single-worker loop and then cannot be pickled (the pool falls back to
+serial and quietly loses the speedup) the first time ``workers > 1``;
+a task without an ``rng`` parameter is a task that is about to reach
+for global randomness. This rule checks call sites statically:
 the function argument must be a module-level ``def`` (in the same file
 or imported) whose signature accepts an explicit ``rng`` argument.
 """
@@ -61,7 +61,7 @@ class ParallelTaskRule(Rule):
     severity: ClassVar[str] = "error"
     description: ClassVar[str] = (
         "functions submitted to repro.parallel.run_tasks must be "
-        "module-level (picklable for the process backend) and accept an "
+        "module-level (picklable for the process pool) and accept an "
         "explicit rng argument"
     )
 
@@ -104,8 +104,8 @@ class ParallelTaskRule(Rule):
             yield self.violation(
                 ctx,
                 call,
-                "lambda submitted to run_tasks is unpicklable on the "
-                "process backend; use a module-level def with an rng "
+                "lambda submitted to run_tasks is unpicklable for the "
+                "process pool; use a module-level def with an rng "
                 "parameter",
             )
             return
@@ -123,7 +123,7 @@ class ParallelTaskRule(Rule):
             yield self.violation(
                 ctx,
                 call,
-                f"task {name!r} is a nested function; the process backend "
+                f"task {name!r} is a nested function; the process pool "
                 "cannot pickle it — hoist it to module level",
             )
             return

@@ -1,11 +1,12 @@
 """RNG001/RNG002 — all randomness flows through :mod:`repro.rng`.
 
-PR 1's backend-independent determinism guarantee holds only if every
-random draw comes from a generator that was seeded and spawned through
-``repro.rng`` (or passed in as an explicit ``Generator`` argument). A
-single ``np.random.default_rng(...)`` or stdlib ``random.random()``
-buried in a helper silently re-seeds outside the experiment's stream
-and breaks bit-reproducibility across runs and backends.
+The guarantee that a fit is bit-identical for any worker count holds
+only if every random draw comes from a generator that was seeded and
+spawned through ``repro.rng`` (or passed in as an explicit
+``Generator`` argument). A single ``np.random.default_rng(...)`` or
+stdlib ``random.random()`` buried in a helper silently re-seeds
+outside the experiment's stream and breaks bit-reproducibility across
+runs and worker counts.
 
 RNG002 tightens the contract inside the token-kernel layer: a
 ``TokenKernel`` draws randomness **only** from the ``Generator`` its

@@ -5,7 +5,10 @@ canonical JSON encoding of ``{stage name, format version, stage config,
 upstream fingerprints}``. Configs are dataclasses; :func:`canonical`
 walks them generically (``dataclasses.fields``, not a hand-kept field
 list), so adding a field to any config automatically perturbs the
-fingerprint instead of silently colliding cache entries.
+fingerprint instead of silently colliding cache entries. The one
+opt-out is a field declared with ``metadata={"fingerprint": False}``:
+an execution setting (such as a worker count) that cannot change the
+result must not change the key either.
 """
 
 from __future__ import annotations
@@ -29,7 +32,8 @@ def canonical(value: Any) -> Any:
     """Reduce ``value`` to a JSON-encodable canonical form.
 
     Dataclasses become ``{"__dataclass__": name, fields...}`` via
-    ``dataclasses.fields`` (recursively), mappings become plain dicts
+    ``dataclasses.fields`` (recursively, skipping fields whose metadata
+    sets ``"fingerprint": False``), mappings become plain dicts
     (JSON key sorting makes ordering irrelevant), sets are sorted, and
     numpy scalars collapse to their Python equivalents. Unsupported
     types raise :class:`~repro.errors.ArtifactError` rather than being
@@ -38,7 +42,8 @@ def canonical(value: Any) -> Any:
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         encoded: dict[str, Any] = {"__dataclass__": type(value).__name__}
         for field_ in dataclasses.fields(value):
-            encoded[field_.name] = canonical(getattr(value, field_.name))
+            if field_.metadata.get("fingerprint", True):
+                encoded[field_.name] = canonical(getattr(value, field_.name))
         return encoded
     if isinstance(value, Mapping):
         return {str(key): canonical(item) for key, item in value.items()}

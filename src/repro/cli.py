@@ -99,14 +99,19 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     pipeline.add_argument("--restarts", type=int, default=1,
                           help="independent Gibbs chains; best one wins")
-    _add_backend_flags(pipeline)
+    pipeline.add_argument(
+        "--workers", type=int, default=1,
+        help="processes sharing the --restarts chains (results do not "
+             "depend on it; default: 1, a loop in this process)",
+    )
+    _add_kernel_flag(pipeline)
     _add_cache_flags(pipeline)
 
     figures = sub.add_parser("figures", help="Fig 3 and Fig 4 series")
     figures.add_argument("--recipes", type=int, default=1500)
     figures.add_argument("--sweeps", type=int, default=300)
     figures.add_argument("--seed", type=int, default=11)
-    _add_backend_flags(figures)
+    _add_kernel_flag(figures)
     _add_cache_flags(figures)
 
     run = sub.add_parser(
@@ -187,7 +192,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="memory ceiling the shard plan targets for resident corpus "
              "shards; ignored when --shards is given explicitly",
     )
-    _add_backend_flags(run)
+    _add_kernel_flag(run)
     _add_cache_flags(run)
 
     cache = sub.add_parser(
@@ -237,20 +242,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8321)
-    serve.add_argument(
-        "--workers", type=int, default=None,
-        help="worker cap for batched fold-in passes (>1 uses the "
-             "thread backend; default: serial in-order batches)",
-    )
-    serve.add_argument(
-        "--max-batch", type=int, default=8,
-        help="max concurrent requests folded in per batch",
-    )
-    serve.add_argument(
-        "--batch-wait-ms", type=float, default=0.0,
-        help="how long a batch waits for co-travellers before running "
-             "(default 0: run what is queued at once)",
-    )
     serve.add_argument(
         "--fold-in-sweeps", type=int, default=48,
         help="Gibbs fold-in sweeps per request (burn-in is a third)",
@@ -394,7 +385,7 @@ def _build_parser() -> argparse.ArgumentParser:
     report.add_argument("--recipes", type=int, default=1500)
     report.add_argument("--sweeps", type=int, default=300)
     report.add_argument("--seed", type=int, default=11)
-    _add_backend_flags(report)
+    _add_kernel_flag(report)
     _add_cache_flags(report)
 
     from repro.analysis.cli import configure_parser as configure_lint_parser
@@ -407,20 +398,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_backend_flags(parser: argparse.ArgumentParser) -> None:
-    """Execution flags shared by the model-fitting commands."""
+def _add_kernel_flag(parser: argparse.ArgumentParser) -> None:
+    """The sampling-kernel flag shared by the model-fitting commands."""
     from repro.core.kernels import KERNEL_CHOICES
 
-    parser.add_argument(
-        "--backend",
-        choices=("serial", "thread", "process", "auto"),
-        default="serial",
-        help="executor for restart chains (results are backend-independent)",
-    )
-    parser.add_argument(
-        "--workers", type=int, default=None,
-        help="worker cap for parallel backends (default: one per CPU)",
-    )
     parser.add_argument(
         "--kernel",
         choices=KERNEL_CHOICES,
@@ -447,22 +428,18 @@ def _add_cache_flags(parser: argparse.ArgumentParser) -> None:
 def _apply_parallel_options(
     config: ExperimentConfig, args: argparse.Namespace
 ) -> ExperimentConfig:
-    """Fold --backend/--workers/--restarts/--kernel into an ExperimentConfig."""
+    """Fold --restarts/--workers/--kernel into an ExperimentConfig."""
     import dataclasses
 
-    backend = getattr(args, "backend", "serial")
-    workers = getattr(args, "workers", None)
+    workers = getattr(args, "workers", 1)
     restarts = getattr(args, "restarts", 1)
     kernel = getattr(args, "kernel", "dense")
     if restarts < 1:
         raise ModelError("--restarts must be >= 1")
     model = config.model
-    if (
-        backend != "serial" or workers or restarts > 1
-        or kernel != model.kernel
-    ):
+    if workers != 1 or restarts > 1 or kernel != model.kernel:
         model = dataclasses.replace(
-            model, backend=backend, n_workers=workers,
+            model, n_workers=workers,
             n_restarts=max(restarts, model.n_restarts),
             kernel=kernel,
         )
@@ -557,18 +534,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if sweeps < 3:
         raise ModelError("--fold-in-sweeps must be >= 3")
     engine = InferenceEngine(bundle, config=FoldInConfig(n_sweeps=sweeps))
-    batcher = MicroBatcher(
-        engine,
-        max_batch=args.max_batch,
-        max_wait_s=args.batch_wait_ms / 1000.0,
-        backend="thread" if (args.workers or 1) > 1 else "serial",
-        n_workers=args.workers,
-    )
+    batcher = MicroBatcher(engine)
     server = make_server(engine, args.host, args.port, batcher=batcher)
     host, port = server.server_address[0], server.server_address[1]
     print(
-        f"serving model {bundle.fingerprint} on http://{host}:{port} "
-        f"(max_batch={args.max_batch}, workers={args.workers or 1})",
+        f"serving model {bundle.fingerprint} on http://{host}:{port}",
         flush=True,
     )
     # SIGTERM must unwind like Ctrl-C so the trace file and batcher are

@@ -14,7 +14,6 @@ incrementally, so a y-update costs O(K·dim³) rather than a full refit.
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from dataclasses import dataclass
 from typing import Sequence
@@ -23,7 +22,7 @@ import numpy as np
 from scipy.special import gammaln, logsumexp
 
 from repro.core import normal_wishart as nw
-from repro.core.joint_model import JointModelConfig
+from repro.core.joint_model import JointModelConfig, fit_best_chain
 from repro.core.kernels import CSRTokens, make_kernel, sample_from_cumulative
 from repro.core.linalg import chol_inv_logdet, guarded_inv, symmetrize
 from repro.core.lda import word_log_likelihood
@@ -256,7 +255,11 @@ class CollapsedJointModel:
         #: under its sampled topic. Comparable across chains of the same
         #: data, which is all best-of-restarts selection needs.
         self.log_likelihoods_: list[float] = []
+        #: Wall-clock of the last fit and of each restart chain, plus the
+        #: per-restart records, as on the semi-collapsed model.
         self.fit_seconds_: float | None = None
+        self.restart_seconds_: list[float] = []
+        self.restart_telemetry_: list[dict] = []
 
     def fit(
         self,
@@ -278,36 +281,17 @@ class CollapsedJointModel:
             kernel=self.config.kernel,
         ) as fit_span:
             if self.config.n_restarts > 1:
-                self._fit_restarts(
-                    docs, gels, emulsions, vocab_size, rng, gel_prior, emulsion_prior
+                fit_best_chain(
+                    self, docs, gels, emulsions, vocab_size, rng,
+                    gel_prior, emulsion_prior,
                 )
             else:
                 self._fit_single(
                     docs, gels, emulsions, vocab_size, rng, gel_prior, emulsion_prior
                 )
         self.fit_seconds_ = fit_span.duration_s
-        return self
-
-    def _fit_restarts(
-        self, docs, gels, emulsions, vocab_size, rng, gel_prior, emulsion_prior
-    ) -> "CollapsedJointModel":
-        chains = run_chains(
-            self.config,
-            docs,
-            gels,
-            emulsions,
-            vocab_size,
-            n_chains=self.config.n_restarts,
-            rng=rng,
-            gel_prior=gel_prior,
-            emulsion_prior=emulsion_prior,
-        )
-        best = max(chains, key=lambda chain: chain.log_likelihoods_[-1])
-        for attr in (
-            "phi_", "theta_", "gel_means_", "gel_covs_",
-            "emulsion_means_", "emulsion_covs_", "y_", "log_likelihoods_",
-        ):
-            setattr(self, attr, getattr(best, attr))
+        if not self.restart_seconds_:
+            self.restart_seconds_ = [self.fit_seconds_]
         return self
 
     def _fit_single(
@@ -528,56 +512,3 @@ class CollapsedJointModel:
         row = np.asarray(self.phi_)[k]
         order = np.argsort(row)[::-1][:n]
         return [(int(v), float(row[v])) for v in order]
-
-
-# -- multi-chain cross-checking ------------------------------------------------
-
-
-def _chain_task(payload, rng) -> "CollapsedJointModel":
-    """Fit one collapsed chain (module-level so process pools can pickle it)."""
-    config, docs, gels, emulsions, vocab_size, gel_prior, emulsion_prior = payload
-    chain = CollapsedJointModel(config)
-    chain._fit_single(
-        docs, gels, emulsions, vocab_size, rng, gel_prior, emulsion_prior
-    )
-    return chain
-
-
-def run_chains(
-    config: JointModelConfig,
-    docs,
-    gels: np.ndarray,
-    emulsions: np.ndarray,
-    vocab_size: int,
-    n_chains: int,
-    rng: RngLike = None,
-    gel_prior: NormalWishartPrior | None = None,
-    emulsion_prior: NormalWishartPrior | None = None,
-) -> list["CollapsedJointModel"]:
-    """Fit ``n_chains`` independent collapsed chains, possibly in parallel.
-
-    This is both the restart engine of :meth:`CollapsedJointModel.fit`
-    and the cross-check primitive: fitting several chains and comparing
-    their recovered partitions (e.g. pairwise NMI) is how the collapsed
-    sampler is validated against the semi-collapsed one. The backend
-    comes from ``config.backend``; chains draw from pre-spawned RNG
-    streams, so the result list is identical across backends.
-    """
-    from repro.parallel import ParallelConfig, run_tasks
-
-    if n_chains < 1:
-        raise ModelError("n_chains must be >= 1")
-    single = dataclasses.replace(config, n_restarts=1)
-    payload = (
-        single, list(docs), np.asarray(gels, dtype=float),
-        np.asarray(emulsions, dtype=float), vocab_size,
-        gel_prior, emulsion_prior,
-    )
-    return run_tasks(
-        _chain_task,
-        [payload] * n_chains,
-        rng=rng,
-        config=ParallelConfig(
-            backend=config.backend, max_workers=config.n_workers
-        ),
-    )

@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, field
+from typing import Any, Sequence
 
 import numpy as np
 from scipy.special import logsumexp
@@ -39,6 +39,7 @@ from repro.core.telemetry import restart_telemetry, should_sample, sweep_telemet
 from repro.errors import ModelError, NotFittedError
 from repro.obs import trace
 from repro.obs.log import get_logger
+from repro.parallel import run_tasks
 from repro.rng import RngLike, ensure_rng
 
 logger = get_logger("repro.core.joint_model")
@@ -69,13 +70,11 @@ class JointModelConfig:
     #: settle in different label partitions; restarts are the standard
     #: cheap insurance.
     n_restarts: int = 1
-    #: Execution backend for the restart fan-out: "serial", "thread",
-    #: "process" or "auto" (see :mod:`repro.parallel`). Restart chains
-    #: draw from pre-spawned RNG streams, so the fitted model is
-    #: bit-identical across backends.
-    backend: str = "serial"
-    #: Worker cap for parallel backends (``None`` → one per CPU).
-    n_workers: int | None = None
+    #: Processes sharing the restart chains (1: a loop in the caller;
+    #: see :mod:`repro.parallel`). Chains draw from pre-spawned RNG
+    #: streams, so the fitted model is bit-identical for any count, and
+    #: the field stays out of every fingerprint.
+    n_workers: int = field(default=1, metadata={"fingerprint": False})
     #: Token-sampling kernel for the z-sweep: "dense" (default,
     #: bit-identical to the historical per-token loop), "alias"
     #: (LightLDA Metropolis–Hastings, O(1) per token; statistically
@@ -91,8 +90,6 @@ class JointModelConfig:
     cache_y_densities: bool = True
 
     def __post_init__(self) -> None:
-        from repro.parallel import BACKENDS
-
         if self.n_topics < 1:
             raise ModelError("n_topics must be >= 1")
         if not 0 <= self.burn_in < self.n_sweeps:
@@ -101,32 +98,104 @@ class JointModelConfig:
             raise ModelError("thin must be >= 1")
         if self.n_restarts < 1:
             raise ModelError("n_restarts must be >= 1")
-        if self.backend not in BACKENDS:
-            raise ModelError(f"unknown backend {self.backend!r}")
-        if self.n_workers is not None and self.n_workers < 1:
+        if self.n_workers < 1:
             raise ModelError("n_workers must be >= 1")
         if self.kernel not in KERNEL_CHOICES:
             raise ModelError(f"unknown sampling kernel {self.kernel!r}")
 
 
-def _restart_task(payload, rng) -> tuple["JointTextureTopicModel", dict]:
-    """Fit one restart chain (module-level so process pools can pickle it).
+#: The fitted state a best-of-N fit adopts from its winning chain.
+_CHAIN_STATE = (
+    "phi_", "theta_", "gel_means_", "gel_covs_",
+    "emulsion_means_", "emulsion_covs_", "y_", "log_likelihoods_",
+)
 
-    Returns the fitted candidate plus its telemetry record (seed, fit
-    seconds, final log-likelihood) — a plain dict, so process-backend
-    workers ship it back to the parent instead of dropping it.
+
+def _chain_task(payload, rng) -> tuple[Any, dict]:
+    """Fit one chain (module-level so the process pool can pickle it).
+
+    Returns the fitted chain plus its telemetry record (seed, fit
+    seconds, final log-likelihood) — a plain dict, so pool workers ship
+    it back to the parent instead of dropping it.
     """
-    config, docs, gels, emulsions, vocab_size, gel_prior, emulsion_prior = payload
+    (
+        model_cls, config, docs, gels, emulsions, vocab_size,
+        gel_prior, emulsion_prior,
+    ) = payload
     with trace.span("joint-model.restart", kernel=config.kernel) as restart_span:
-        candidate = JointTextureTopicModel(config)
-        candidate._fit_single(
+        chain = model_cls(config)
+        chain._fit_single(
             docs, gels, emulsions, vocab_size, rng, gel_prior, emulsion_prior
         )
-    return candidate, restart_telemetry(
+    return chain, restart_telemetry(
         rng,
         restart_span.duration_s,
-        candidate.log_likelihoods_[-1],
+        chain.log_likelihoods_[-1],
     )
+
+
+def run_chains(
+    model_cls: type,
+    config: JointModelConfig,
+    docs: Sequence[np.ndarray],
+    gels: np.ndarray,
+    emulsions: np.ndarray,
+    vocab_size: int,
+    n_chains: int,
+    rng: RngLike = None,
+    gel_prior: NormalWishartPrior | None = None,
+    emulsion_prior: NormalWishartPrior | None = None,
+) -> list[tuple[Any, dict]]:
+    """Fit ``n_chains`` independent Gibbs chains of ``model_cls``.
+
+    Returns ``(chain, telemetry)`` pairs in chain order. This is both
+    the restart engine of :func:`fit_best_chain` and the cross-check
+    primitive: fitting several chains and comparing their recovered
+    partitions (e.g. pairwise NMI) is how the samplers are validated
+    against each other. ``config.n_workers`` processes share the
+    chains; each draws from a pre-spawned RNG stream, so the result is
+    identical for any worker count.
+    """
+    if n_chains < 1:
+        raise ModelError("n_chains must be >= 1")
+    single = dataclasses.replace(config, n_restarts=1)
+    payload = (
+        model_cls, single, list(docs), gels, emulsions, vocab_size,
+        gel_prior, emulsion_prior,
+    )
+    return run_tasks(
+        _chain_task, [payload] * n_chains, rng=rng, workers=config.n_workers
+    )
+
+
+def fit_best_chain(
+    model: Any,
+    docs: Sequence[np.ndarray],
+    gels: np.ndarray,
+    emulsions: np.ndarray,
+    vocab_size: int,
+    rng: RngLike,
+    gel_prior: NormalWishartPrior | None,
+    emulsion_prior: NormalWishartPrior | None,
+) -> None:
+    """Fit ``model.config.n_restarts`` chains; ``model`` adopts the best.
+
+    The winner is the first chain with the highest final
+    log-likelihood. Every chain's telemetry record and wall-clock stay
+    on ``model`` (``restart_telemetry_``, ``restart_seconds_``) in chain
+    order.
+    """
+    outcomes = run_chains(
+        type(model), model.config, docs, gels, emulsions, vocab_size,
+        model.config.n_restarts, rng, gel_prior, emulsion_prior,
+    )
+    best, _ = max(outcomes, key=lambda outcome: outcome[0].log_likelihoods_[-1])
+    for attr in _CHAIN_STATE:
+        setattr(model, attr, getattr(best, attr))
+    model.restart_telemetry_ = [telemetry for _, telemetry in outcomes]
+    model.restart_seconds_ = [
+        telemetry["fit_seconds"] for telemetry in model.restart_telemetry_
+    ]
 
 
 class JointTextureTopicModel:
@@ -159,8 +228,8 @@ class JointTextureTopicModel:
         self.fit_seconds_: float | None = None
         self.restart_seconds_: list[float] = []
         #: Per-restart records (``seed``, ``fit_seconds``,
-        #: ``final_log_likelihood``), propagated from the workers of any
-        #: backend — including process pools — in submission order.
+        #: ``final_log_likelihood``), propagated from pool workers too,
+        #: in chain order.
         self.restart_telemetry_: list[dict] = []
 
     # -- fitting ---------------------------------------------------------------
@@ -191,8 +260,9 @@ class JointTextureTopicModel:
             kernel=self.config.kernel,
         ) as fit_span:
             if self.config.n_restarts > 1:
-                self._fit_restarts(
-                    docs, gels, emulsions, vocab_size, rng, gel_prior, emulsion_prior
+                fit_best_chain(
+                    self, docs, gels, emulsions, vocab_size, rng,
+                    gel_prior, emulsion_prior,
                 )
             else:
                 self._fit_single(
@@ -201,44 +271,6 @@ class JointTextureTopicModel:
         self.fit_seconds_ = fit_span.duration_s
         if not self.restart_seconds_:
             self.restart_seconds_ = [self.fit_seconds_]
-        return self
-
-    def _fit_restarts(
-        self, docs, gels, emulsions, vocab_size, rng, gel_prior, emulsion_prior
-    ) -> "JointTextureTopicModel":
-        from repro.parallel import ParallelConfig, run_tasks
-
-        single = dataclasses.replace(self.config, n_restarts=1)
-        payload = (
-            single, list(docs), gels, emulsions, vocab_size,
-            gel_prior, emulsion_prior,
-        )
-        outcomes = run_tasks(
-            _restart_task,
-            [payload] * self.config.n_restarts,
-            rng=rng,
-            config=ParallelConfig(
-                backend=self.config.backend,
-                max_workers=self.config.n_workers,
-            ),
-        )
-        best: JointTextureTopicModel | None = None
-        self.restart_seconds_ = []
-        self.restart_telemetry_ = []
-        for candidate, telemetry in outcomes:
-            self.restart_seconds_.append(telemetry["fit_seconds"])
-            self.restart_telemetry_.append(telemetry)
-            if (
-                best is None
-                or candidate.log_likelihoods_[-1] > best.log_likelihoods_[-1]
-            ):
-                best = candidate
-        assert best is not None
-        for attr in (
-            "phi_", "theta_", "gel_means_", "gel_covs_",
-            "emulsion_means_", "emulsion_covs_", "y_", "log_likelihoods_",
-        ):
-            setattr(self, attr, getattr(best, attr))
         return self
 
     def _fit_single(

@@ -97,7 +97,7 @@ def restart_telemetry(
     fit_seconds: float,
     final_log_likelihood: float,
 ) -> dict[str, Any]:
-    """One restart chain's record, picklable across process backends."""
+    """One restart chain's record, picklable across the process pool."""
     return {
         "seed": generator_seed(rng),
         "fit_seconds": float(fit_seconds),

@@ -86,7 +86,7 @@ class ArtifactError(ReproError):
 
 
 class ParallelError(ReproError, RuntimeError):
-    """A parallel backend was misconfigured or failed irrecoverably."""
+    """The parallel executor was misconfigured (a worker count below 1)."""
 
 
 class ObservabilityError(ReproError):

@@ -1,17 +1,12 @@
-"""Parallel execution layer: seeded, backend-pluggable task fan-out.
+"""Parallel execution layer: seeded task fan-out.
 
 See :mod:`repro.parallel.executor` for the design. Typical use::
 
-    from repro.parallel import ParallelConfig, run_tasks
+    from repro.parallel import run_tasks
 
-    results = run_tasks(fit_one, payloads, rng=seed,
-                        config=ParallelConfig(backend="process"))
+    results = run_tasks(fit_one, payloads, rng=seed, workers=4)
 """
 
-from repro.parallel.executor import (
-    BACKENDS,
-    ParallelConfig,
-    run_tasks,
-)
+from repro.parallel.executor import run_tasks
 
-__all__ = ["BACKENDS", "ParallelConfig", "run_tasks"]
+__all__ = ["run_tasks"]

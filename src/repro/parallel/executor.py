@@ -1,43 +1,40 @@
-"""Backend-pluggable task execution with seeded RNG fan-out.
+"""Seeded task fan-out: a loop in the caller, or one process pool.
 
 Every parallelisable stage in this package (Gibbs restarts, collapsed
-cross-check chains, benchmark repetitions) has the same shape: N
-independent tasks, each needing its own reproducible random stream,
-whose results are consumed in task order. This module provides that
-shape once, behind three interchangeable backends:
+cross-check chains) has the same shape: N independent tasks, each
+needing its own reproducible random stream, whose results are consumed
+in task order. :func:`run_tasks` provides that shape once:
 
-* ``serial``  — a plain loop in the calling process (the default, and
-  the reference semantics every other backend must reproduce);
-* ``thread``  — a :class:`~concurrent.futures.ThreadPoolExecutor`; wins
-  when tasks release the GIL (BLAS-heavy numpy) or block on I/O;
-* ``process`` — a :class:`~concurrent.futures.ProcessPoolExecutor`;
-  wins for Python-heavy work such as the per-token Gibbs loops, at the
-  cost of pickling the task payloads.
+* ``workers=1`` (the default) runs a plain loop in the calling process
+  — the reference semantics;
+* ``workers > 1`` runs a spawn-started
+  :class:`~concurrent.futures.ProcessPoolExecutor` of
+  ``min(workers, n_tasks)`` workers, at the cost of pickling the task
+  payloads. The per-token Gibbs loops hold the GIL, so threads never
+  beat the loop; separate processes do, on fits large enough to pay
+  for the spawn.
 
-Determinism is backend-independent by construction: child generators are
+Determinism does not depend on the worker count: child generators are
 spawned from the caller's RNG *before* dispatch via
 :func:`repro.rng.spawn`, so task ``i`` sees the same stream no matter
 where (or in what order) it runs, and results are always returned in
-submission order. A fitted model is therefore bit-identical across
-backends.
+submission order. A fitted model is therefore bit-identical for any
+``workers``.
 
 Robustness: sandboxes and restricted containers routinely lack working
-``fork``/semaphore support, payloads can turn out to be unpicklable, and
-a batch can exceed its ``timeout``. When ``fallback_to_serial`` is on
-(the default), all three degrade to running the affected tasks serially
-in the caller — same results, reduced parallelism — instead of failing
-the experiment. Exceptions raised by the task body itself are *not*
-swallowed by the fallback; they propagate to the caller in task order.
+semaphore support, and payloads can turn out to be unpicklable. Either
+way the tasks the pool did not deliver are recomputed serially in the
+caller — same results, reduced parallelism — instead of failing the
+experiment. Exceptions raised by the task body itself are *not*
+swallowed; they propagate to the caller in task order.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
 import functools
-import os
 import pickle
 import time
-from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -49,11 +46,8 @@ from repro.rng import RngLike, spawn
 
 logger = get_logger("repro.parallel")
 
-#: Recognised backend names ("auto" resolves at call time).
-BACKENDS = ("serial", "thread", "process", "auto")
-
-#: A task body: ``fn(payload, rng) -> result``. For the process backend
-#: it must be picklable (a module-level function or a partial of one).
+#: A task body: ``fn(payload, rng) -> result``. For ``workers > 1`` it
+#: must be picklable (a module-level function or a partial of one).
 TaskFn = Callable[[Any, np.random.Generator], Any]
 
 #: Sentinel marking tasks the pool never delivered (``None`` is a valid
@@ -61,73 +55,34 @@ TaskFn = Callable[[Any, np.random.Generator], Any]
 _PENDING = object()
 
 
-@dataclass(frozen=True)
-class ParallelConfig:
-    """How a batch of independent tasks should be executed.
-
-    ``backend="auto"`` picks ``process`` on multi-core hosts and
-    ``serial`` otherwise. ``timeout`` bounds the wall-clock of the whole
-    batch (seconds); on expiry the unfinished tasks are recomputed
-    serially (identical results — the RNG streams were fixed up front)
-    rather than lost, unless ``fallback_to_serial`` is off.
-    """
-
-    backend: str = "serial"
-    max_workers: int | None = None
-    timeout: float | None = None
-    fallback_to_serial: bool = True
-
-    def __post_init__(self) -> None:
-        if self.backend not in BACKENDS:
-            raise ParallelError(
-                f"unknown backend {self.backend!r}; expected one of {BACKENDS}"
-            )
-        if self.max_workers is not None and self.max_workers < 1:
-            raise ParallelError("max_workers must be >= 1")
-        if self.timeout is not None and self.timeout <= 0:
-            raise ParallelError("timeout must be positive")
-
-    def resolve_backend(self) -> str:
-        """The concrete backend ``auto`` maps to on this host."""
-        if self.backend != "auto":
-            return self.backend
-        return "process" if (os.cpu_count() or 1) > 1 else "serial"
-
-    def resolve_workers(self, n_tasks: int) -> int:
-        """Worker count for a batch of ``n_tasks``."""
-        limit = self.max_workers or os.cpu_count() or 1
-        return max(1, min(limit, n_tasks))
-
-
 def run_tasks(
     fn: TaskFn,
     payloads: Sequence[Any],
     rng: RngLike = None,
-    config: ParallelConfig | None = None,
+    workers: int = 1,
 ) -> list[Any]:
     """Run ``fn(payload, child_rng)`` for every payload; ordered results.
 
     One child generator per task is spawned from ``rng`` up front, so the
-    result list is a pure function of ``(fn, payloads, rng)`` regardless
-    of backend. Backend failures (no multiprocessing support, pickling
-    errors, timeouts) fall back to serial execution of the affected
-    tasks when ``config.fallback_to_serial`` is set; otherwise they
-    raise :class:`~repro.errors.ParallelError`.
+    result list is a pure function of ``(fn, payloads, rng)`` whatever
+    ``workers`` is. Tasks a process pool fails to deliver (no
+    multiprocessing support, pickling errors, a lost worker) are
+    recomputed serially in the caller.
     """
-    config = config or ParallelConfig()
+    if workers < 1:
+        raise ParallelError("workers must be >= 1")
     payloads = list(payloads)
     if not payloads:
         return []
     rngs = spawn(rng, len(payloads))
-    backend = config.resolve_backend()
-    if backend == "serial" or len(payloads) == 1:
-        with trace.span("run-tasks", backend="serial", n_tasks=len(payloads)):
+    workers = min(workers, len(payloads))
+    with trace.span("run-tasks", workers=workers, n_tasks=len(payloads)):
+        if workers == 1:
             return [
                 _run_timed(fn, payload, child)
                 for payload, child in zip(payloads, rngs)
             ]
-    with trace.span("run-tasks", backend=backend, n_tasks=len(payloads)):
-        return _run_pooled(fn, payloads, rngs, backend, config)
+        return _run_pooled(fn, payloads, rngs, workers)
 
 
 def _observe_task(wait_s: float | None, run_s: float) -> None:
@@ -157,16 +112,14 @@ def _guarded(
 
     Anything that escapes *this* function is then, by elimination, an
     infrastructure failure (pickling, broken pool, lost worker) and is
-    safe to answer with a serial fallback.
+    safe to answer with serial recomputation.
 
     Alongside the ``("ok"|"err", value)`` outcome it ships a telemetry
     dict back to the caller: how long the task waited in the pool queue
     (wall clock since submission — the only clock processes share), how
     long its body ran, and — when ``capture_sweep_every`` is set (the
-    process backend under an active trace) — the span/event records the
-    task produced, for the parent to :func:`repro.obs.trace.replay`.
-    The thread backend passes ``None``: its workers share the parent's
-    live tracer and emit directly.
+    caller's trace is active) — the span/event records the task
+    produced, for the parent to :func:`repro.obs.trace.replay`.
     """
     telemetry: dict[str, Any] = {
         "wait_s": max(0.0, time.time() - submitted_unix)
@@ -190,65 +143,49 @@ def _run_pooled(
     fn: TaskFn,
     payloads: list[Any],
     rngs: list[np.random.Generator],
-    backend: str,
-    config: ParallelConfig,
+    workers: int,
 ) -> list[Any]:
-    """Dispatch to a thread/process pool with serial fallback."""
+    """Dispatch to a process pool; recompute undelivered tasks serially."""
     outcomes: list[Any] = [_PENDING] * len(payloads)
-    capture_every = (
-        trace.sweep_interval()
-        if backend == "process" and trace.is_enabled()
-        else None
-    )
+    capture_every = trace.sweep_interval() if trace.is_enabled() else None
     body = functools.partial(_guarded, fn, capture_every, time.time())
-    workers = config.resolve_workers(len(payloads))
-    pool: concurrent.futures.Executor | None
+    pool: concurrent.futures.Executor | None = None
     try:
-        if backend == "thread":
-            pool = concurrent.futures.ThreadPoolExecutor(max_workers=workers)
-        else:
-            # Pickle the task function here, before any pool exists. Left
-            # to the pool's feeder thread, a pickling failure races the
-            # cancel_futures shutdown below: CPython 3.11 can then drop
-            # the failed work item from the wrong pending-items table, so
-            # the pool's manager thread waits forever and blocks
-            # interpreter exit.
-            pickle.dumps(body)
-            # The spawn start method: fork-based workers inherit whatever
-            # locks the parent's threads held at fork time (pytest
-            # capture, logging, BLAS pools…) and can deadlock; spawned
-            # workers start clean. Tasks must be picklable either way.
-            import multiprocessing
+        # Pickle the task function here, before any pool exists. Left
+        # to the pool's feeder thread, a pickling failure races the
+        # cancel_futures shutdown below: CPython 3.11 can then drop
+        # the failed work item from the wrong pending-items table, so
+        # the pool's manager thread waits forever and blocks
+        # interpreter exit.
+        pickle.dumps(body)
+        # The spawn start method: fork-based workers inherit whatever
+        # locks the parent's threads held at fork time (pytest
+        # capture, logging, BLAS pools…) and can deadlock; spawned
+        # workers start clean.
+        import multiprocessing
 
-            pool = concurrent.futures.ProcessPoolExecutor(
-                max_workers=workers,
-                mp_context=multiprocessing.get_context("spawn"),
-            )
-    except (pickle.PicklingError, AttributeError, TypeError) as exc:
-        _backend_failure(config, f"{backend} backend failed: {exc!r}", exc)
-        pool = None
-    except (OSError, ImportError, ValueError) as exc:
-        _backend_failure(config, f"cannot start {backend} pool: {exc!r}", exc)
-        pool = None
+        pool = concurrent.futures.ProcessPoolExecutor(
+            max_workers=workers,
+            mp_context=multiprocessing.get_context("spawn"),
+        )
+    except (
+        pickle.PicklingError, AttributeError, TypeError,
+        OSError, ImportError, ValueError,
+    ) as exc:
+        _fall_back(f"cannot start a process pool: {exc!r}")
     if pool is not None:
         try:
             futures = {
                 pool.submit(body, payload, child): i
                 for i, (payload, child) in enumerate(zip(payloads, rngs))
             }
-            for future in concurrent.futures.as_completed(
-                futures, timeout=config.timeout
-            ):
+            for future in concurrent.futures.as_completed(futures):
                 outcomes[futures[future]] = future.result()
-        except (concurrent.futures.TimeoutError, TimeoutError) as exc:
-            _backend_failure(
-                config, f"batch timed out after {config.timeout}s", exc
-            )
         except Exception as exc:  # noqa: BLE001 - task errors never get here
             # _guarded converts every task-body exception into a value,
             # so whatever reached us is infrastructure: unpicklable
             # payloads, a worker killed by the OS, a broken pool…
-            _backend_failure(config, f"{backend} backend failed: {exc!r}", exc)
+            _fall_back(f"process pool failed: {exc!r}")
         finally:
             pool.shutdown(wait=False, cancel_futures=True)
     # Recompute whatever the pool did not deliver. The child streams were
@@ -278,12 +215,8 @@ def _run_pooled(
     return results
 
 
-def _backend_failure(
-    config: ParallelConfig, message: str, exc: Exception
-) -> None:
-    """Log-and-continue or raise, per ``fallback_to_serial``."""
-    if not config.fallback_to_serial:
-        raise ParallelError(message) from exc
+def _fall_back(message: str) -> None:
+    """Record a pool failure; the caller recomputes its tasks serially."""
     metrics.registry.counter("executor.fallback").inc()
     trace.event("executor.fallback", reason=message)
     logger.warning("%s; falling back to serial execution", message)

@@ -69,9 +69,10 @@ _ARRAY_FIELDS = (
     "y_",
 )
 
-#: Config keys of fields a later release retired. Archives written
-#: before the retirement still carry them, so they are dropped on load.
-_RETIRED_CONFIG_KEYS = frozenset({"n_shards"})
+#: Config keys dropped on load: fields a later release retired, which
+#: older archives still carry, and ``n_workers``, which records how a
+#: fit ran rather than what it fitted (older archives hold null there).
+_DROPPED_CONFIG_KEYS = frozenset({"n_shards", "backend", "n_workers"})
 
 #: Tags identifying the model class inside a v2 archive.
 _MODEL_TAG_JOINT = "gibbs"
@@ -140,15 +141,16 @@ def _model_tag(model: Any) -> str:
 def _config_from(config_type: type[Any], config: Any, path: Path) -> Any:
     """Rebuild a config dataclass from an archive header's ``config``.
 
-    Retired keys are dropped; a missing or non-object config and any
-    other unknown key raise :class:`~repro.errors.ModelError`.
+    The keys of :data:`_DROPPED_CONFIG_KEYS` are dropped; a missing or
+    non-object config and any other unknown key raise
+    :class:`~repro.errors.ModelError`.
     """
     if not isinstance(config, dict):
         raise ModelError(f"{path} has no model config object")
     kwargs = {
         key: value
         for key, value in config.items()
-        if key not in _RETIRED_CONFIG_KEYS
+        if key not in _DROPPED_CONFIG_KEYS
     }
     unknown = sorted(
         set(kwargs) - {field.name for field in dataclasses.fields(config_type)}

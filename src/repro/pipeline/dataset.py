@@ -146,51 +146,15 @@ class DatasetBuilder:
             recipes = unique
         if excluded is None:
             excluded = self.excluded_terms(recipes, rng=rng)
-        extractor = TextureTermExtractor(
-            self.dictionary, self.tokenizer, excluded=excluded
-        )
-        dataset_filter = self.dataset_filter
-        unparseable = 0
-        kept: list[RecipeFeatures] = []
-        for recipe in recipes:
-            try:
-                features = build_features(recipe, extractor)
-            except (UnitParseError, UnitConversionError):
-                unparseable += 1
-                continue
-            if dataset_filter.accept(features):
-                kept.append(features)
+        kept, counts = self._featurise(recipes, excluded)
         if not kept:
             raise CorpusError("dataset filter rejected every recipe")
-
-        vocabulary = tuple(
-            sorted({surface for f in kept for surface in f.term_counts})
-        )
-        term_ids = {surface: i for i, surface in enumerate(vocabulary)}
-        docs = tuple(
-            np.array(
-                [term_ids[s] for s in f.term_sequence()], dtype=np.int64
-            )
-            for f in kept
-        )
         funnel = {
             "collected": len(recipes) + n_duplicates,
             "duplicates": n_duplicates,
-            "unparseable": unparseable,
-            "kept": len(kept),
-            **{f"rejected_{k}": v for k, v in dataset_filter.rejected.items()},
+            **counts,
         }
-        return TextureDataset(
-            features=tuple(kept),
-            vocabulary=vocabulary,
-            docs=docs,
-            gel_log=np.vstack([f.gel_log for f in kept]),
-            emulsion_log=np.vstack([f.emulsion_log for f in kept]),
-            gel_raw=np.vstack([f.gel_raw for f in kept]),
-            emulsion_raw=np.vstack([f.emulsion_raw for f in kept]),
-            excluded_terms=excluded,
-            funnel=funnel,
-        )
+        return _dataset_of(kept, excluded, funnel)
 
     # -- sharded builds -------------------------------------------------------
 
@@ -212,14 +176,28 @@ class DatasetBuilder:
         corpora must be deduplicated upstream.
         """
         recipes = list(recipes)
+        kept, counts = self._featurise(recipes, excluded)
+        funnel = {"collected": len(recipes), "duplicates": 0, **counts}
+        if not kept:
+            return _empty_dataset(excluded, funnel)
+        return _dataset_of(kept, excluded, funnel)
+
+    def _featurise(
+        self, recipes: Sequence[Recipe], excluded: frozenset[str]
+    ) -> tuple[list[RecipeFeatures], dict[str, int]]:
+        """Featurise and filter ``recipes``: the kept features and the
+        funnel counts (``unparseable``, ``kept``, ``rejected_*``).
+
+        The rejections are counted on a fresh copy of the builder's
+        filter, so a reused builder reports each build's own funnel
+        instead of a running total.
+        """
         extractor = TextureTermExtractor(
             self.dictionary, self.tokenizer, excluded=excluded
         )
-        # Fresh rejection counters so a reused builder yields per-shard
-        # funnels instead of a running total across shards.
         dataset_filter = dataclasses.replace(
             self.dataset_filter,
-            rejected={"no_terms": 0, "no_gel": 0, "unrelated": 0},
+            rejected=dict.fromkeys(self.dataset_filter.rejected, 0),
         )
         unparseable = 0
         kept: list[RecipeFeatures] = []
@@ -231,36 +209,38 @@ class DatasetBuilder:
                 continue
             if dataset_filter.accept(features):
                 kept.append(features)
-        funnel = {
-            "collected": len(recipes),
-            "duplicates": 0,
+        return kept, {
             "unparseable": unparseable,
             "kept": len(kept),
             **{f"rejected_{k}": v for k, v in dataset_filter.rejected.items()},
         }
-        if not kept:
-            return _empty_dataset(excluded, funnel)
-        vocabulary = tuple(
-            sorted({surface for f in kept for surface in f.term_counts})
-        )
-        term_ids = {surface: i for i, surface in enumerate(vocabulary)}
-        docs = tuple(
-            np.array(
-                [term_ids[s] for s in f.term_sequence()], dtype=np.int64
-            )
-            for f in kept
-        )
-        return TextureDataset(
-            features=tuple(kept),
-            vocabulary=vocabulary,
-            docs=docs,
-            gel_log=np.vstack([f.gel_log for f in kept]),
-            emulsion_log=np.vstack([f.emulsion_log for f in kept]),
-            gel_raw=np.vstack([f.gel_raw for f in kept]),
-            emulsion_raw=np.vstack([f.emulsion_raw for f in kept]),
-            excluded_terms=excluded,
-            funnel=funnel,
-        )
+
+
+def _dataset_of(
+    kept: Sequence[RecipeFeatures],
+    excluded: frozenset[str],
+    funnel: Mapping[str, int],
+) -> TextureDataset:
+    """The dataset of the kept features over their own vocabulary."""
+    vocabulary = tuple(
+        sorted({surface for f in kept for surface in f.term_counts})
+    )
+    term_ids = {surface: i for i, surface in enumerate(vocabulary)}
+    docs = tuple(
+        np.array([term_ids[s] for s in f.term_sequence()], dtype=np.int64)
+        for f in kept
+    )
+    return TextureDataset(
+        features=tuple(kept),
+        vocabulary=vocabulary,
+        docs=docs,
+        gel_log=np.vstack([f.gel_log for f in kept]),
+        emulsion_log=np.vstack([f.emulsion_log for f in kept]),
+        gel_raw=np.vstack([f.gel_raw for f in kept]),
+        emulsion_raw=np.vstack([f.emulsion_raw for f in kept]),
+        excluded_terms=excluded,
+        funnel=funnel,
+    )
 
 
 def _empty_dataset(

@@ -184,19 +184,11 @@ class ServeApp:
     def _health(self) -> dict[str, Any]:
         from repro import __version__
 
-        batching: dict[str, Any] | None = None
-        if self.batcher is not None:
-            batching = {
-                "max_batch": self.batcher.max_batch,
-                "max_wait_s": self.batcher.max_wait_s,
-                "closed": self.batcher.closed,
-            }
         return {
             "schema_version": SCHEMA_VERSION,
             "status": "ok",
             "version": __version__,
             "model": self.engine.health(),
-            "batching": batching,
             "uptime_seconds": time.time() - self.started_unix,
         }
 

@@ -69,6 +69,20 @@ class TestFingerprint:
         assert fingerprint_of(Outer(inner=Inner(gamma=0.2))) != base
         assert fingerprint_of(Outer(flags=(1, 3))) != base
 
+    def test_opted_out_field_stays_out(self):
+        """A field marked ``fingerprint: False`` never perturbs the key."""
+
+        @dataclasses.dataclass(frozen=True)
+        class Run:
+            k: int = 10
+            workers: int = dataclasses.field(
+                default=1, metadata={"fingerprint": False}
+            )
+
+        assert "workers" not in canonical(Run())
+        assert fingerprint_of(Run(workers=4)) == fingerprint_of(Run())
+        assert fingerprint_of(Run(k=11)) != fingerprint_of(Run())
+
     def test_stage_fingerprint_mixes_everything(self):
         base = stage_fingerprint("fit", 1, {"k": 10}, {"up": "aa"})
         assert stage_fingerprint("fit2", 1, {"k": 10}, {"up": "aa"}) != base

@@ -195,7 +195,7 @@ class TestCollapsedModel:
         assert fits[True].log_likelihoods_ == fits[False].log_likelihoods_
 
     def test_restarts_pick_best_chain(self):
-        from repro.core.collapsed import run_chains
+        from repro.core.joint_model import run_chains
 
         rng = ensure_rng(2)
         docs, gels, emulsions, _ = synthetic_joint_data(rng, n_docs=30)
@@ -205,9 +205,10 @@ class TestCollapsedModel:
         )
         best = CollapsedJointModel(config).fit(docs, gels, emulsions, 9, rng=6)
         chains = run_chains(
-            config, docs, gels, emulsions, 9, n_chains=3, rng=6
+            CollapsedJointModel, config, docs, gels, emulsions, 9,
+            n_chains=3, rng=6,
         )
-        finals = [chain.log_likelihoods_[-1] for chain in chains]
+        finals = [chain.log_likelihoods_[-1] for chain, _ in chains]
         assert best.log_likelihoods_[-1] == max(finals)
 
     def test_agrees_with_semi_collapsed(self):

@@ -245,9 +245,8 @@ class TestSerialRegression:
 
 
 class TestBackends:
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_parallel_restarts_bit_identical_to_serial(self, rng, backend):
-        """Chains draw from pre-spawned streams → backend-independent."""
+    def test_parallel_restarts_bit_identical_to_serial(self, rng):
+        """Chains draw from pre-spawned streams → worker-count-independent."""
         docs, gels, emulsions, _ = synthetic_joint_data(rng, n_docs=30)
         serial_cfg = JointModelConfig(
             n_topics=3, n_sweeps=10, burn_in=5, thin=2, n_restarts=3
@@ -257,7 +256,7 @@ class TestBackends:
         )
         parallel_cfg = JointModelConfig(
             n_topics=3, n_sweeps=10, burn_in=5, thin=2, n_restarts=3,
-            backend=backend, n_workers=2,
+            n_workers=2,
         )
         parallel = JointTextureTopicModel(parallel_cfg).fit(
             docs, gels, emulsions, 9, rng=7
@@ -267,9 +266,7 @@ class TestBackends:
         assert np.array_equal(serial.y_, parallel.y_)
         assert serial.log_likelihoods_ == parallel.log_likelihoods_
 
-    def test_invalid_backend_rejected(self):
-        with pytest.raises(ModelError):
-            JointModelConfig(backend="gpu")
+    def test_invalid_worker_count_rejected(self):
         with pytest.raises(ModelError):
             JointModelConfig(n_workers=0)
 

@@ -313,7 +313,8 @@ class TestAliasKernel:
         """Alias/MH recovers the dense partition (NMI) over three
         seeds, through the :func:`run_chains` restart harness a real
         fit takes."""
-        from repro.core.collapsed import run_chains
+        from repro.core.collapsed import CollapsedJointModel
+        from repro.core.joint_model import run_chains
 
         rng = ensure_rng(1)
         docs, gels, emulsions, truth = synthetic_joint_data(rng, n_docs=90)
@@ -323,11 +324,11 @@ class TestAliasKernel:
                 n_topics=3, n_sweeps=40, burn_in=20, thin=2, kernel=kernel
             )
             chains = run_chains(
-                config, docs, gels, emulsions, vocab_size=9, n_chains=3,
-                rng=2,
+                CollapsedJointModel, config, docs, gels, emulsions,
+                vocab_size=9, n_chains=3, rng=2,
             )
             assignments[kernel] = [
-                chain.topic_assignments() for chain in chains
+                chain.topic_assignments() for chain, _ in chains
             ]
         for dense_z, alias_z in zip(
             assignments["dense"], assignments["alias"]
@@ -489,8 +490,6 @@ class TestKernelSelection:
         from repro.cli import _apply_parallel_options
         from repro.pipeline.experiment import quick_config
 
-        args = argparse.Namespace(
-            backend="serial", workers=None, restarts=1, kernel="alias"
-        )
+        args = argparse.Namespace(workers=1, restarts=1, kernel="alias")
         config = _apply_parallel_options(quick_config(100, 20, 1), args)
         assert config.model.kernel == "alias"

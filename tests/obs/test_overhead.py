@@ -8,6 +8,10 @@ without relying on wall-clock flakiness: it measures the actual
 per-call cost of the disabled primitives, multiplies by the number of
 calls a tiny fit performs, and asserts the product stays under 5% of
 that fit's measured duration.
+
+The two budget tests still time a fit, so they run in the ``perf``
+lane (``pytest -m perf tests/obs/test_overhead.py``), not in tier-1:
+tier-1 must not depend on machine speed.
 """
 
 import threading
@@ -49,6 +53,7 @@ def _per_call_cost(fn, repetitions: int = 50_000) -> float:
     return (time.perf_counter() - started) / repetitions
 
 
+@pytest.mark.perf
 def test_disabled_no_op_overhead_below_five_percent():
     assert not trace.is_enabled()
     fit_seconds, n_sweeps = _tiny_fit_seconds()
@@ -78,6 +83,7 @@ def test_disabled_event_allocates_no_tracer_state():
     assert not trace.is_enabled()
 
 
+@pytest.mark.perf
 def test_disabled_profiler_overhead_below_five_percent():
     """With no profiler, a fit pays only the span-tracking flag check.
 

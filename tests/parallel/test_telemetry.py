@@ -1,15 +1,16 @@
-"""Worker telemetry propagation: restarts report back from any backend.
+"""Worker telemetry propagation: restarts report back from the pool too.
 
-Satellite of the observability PR: the process backend used to drop each
-restart chain's seed/wall-clock/likelihood on the worker side. These
-tests pin the new contract — identical telemetry *content* (everything
-but wall-clock, which legitimately differs per host) across serial and
-process backends, and executor wait/run histograms fed for pooled runs.
+The process pool once dropped each restart chain's
+seed/wall-clock/likelihood on the worker side. These tests pin the
+contract — identical telemetry *content* (everything but wall-clock,
+which legitimately differs per host) from the serial loop and the
+process pool, and executor wait/run histograms fed for pooled runs.
 """
 
 import numpy as np
 import pytest
 
+from repro.core.collapsed import CollapsedJointModel
 from repro.core.joint_model import JointModelConfig, JointTextureTopicModel
 from repro.core.telemetry import generator_seed, restart_telemetry
 from repro.obs import metrics, trace
@@ -26,14 +27,14 @@ def _fresh_obs():
     metrics.registry.reset()
 
 
-def _fit(backend: str) -> JointTextureTopicModel:
+def _fit(n_workers: int, model_cls: type = JointTextureTopicModel):
     rng = ensure_rng(8)
     docs, gels, emulsions, _ = synthetic_joint_data(rng, n_docs=25)
     config = JointModelConfig(
         n_topics=3, n_sweeps=6, burn_in=2, thin=2,
-        n_restarts=3, backend=backend, n_workers=2,
+        n_restarts=3, n_workers=n_workers,
     )
-    model = JointTextureTopicModel(config)
+    model = model_cls(config)
     return model.fit(docs, gels, emulsions, 9, rng=19)
 
 
@@ -60,9 +61,12 @@ class TestRestartTelemetry:
             "seed": 3, "fit_seconds": 1.5, "final_log_likelihood": -200.0,
         }
 
-    @pytest.mark.parametrize("backend", ["serial", "thread"])
-    def test_restart_telemetry_populated(self, backend):
-        model = _fit(backend)
+    @pytest.mark.parametrize(
+        "model_cls", [JointTextureTopicModel, CollapsedJointModel],
+        ids=["gibbs", "collapsed"],
+    )
+    def test_restart_telemetry_populated(self, model_cls):
+        model = _fit(1, model_cls)
         assert len(model.restart_telemetry_) == 3
         assert len(model.restart_seconds_) == 3
         for record in model.restart_telemetry_:
@@ -72,8 +76,8 @@ class TestRestartTelemetry:
 
     def test_serial_process_parity(self):
         """Process workers must ship the same telemetry content home."""
-        serial = _fit("serial")
-        process = _fit("process")
+        serial = _fit(1)
+        process = _fit(2)
         assert serial.log_likelihoods_ == process.log_likelihoods_
 
         def comparable(records):
@@ -91,13 +95,13 @@ class TestRestartTelemetry:
 
 class TestExecutorMetrics:
     def test_run_histograms_fed(self):
-        _fit("thread")
+        _fit(2)
         snap = metrics.registry.snapshot()
         assert snap["executor.task_run_seconds"]["count"] == 3
         assert snap["executor.task_wait_seconds"]["count"] == 3
 
     def test_serial_feeds_run_times_only(self):
-        _fit("serial")
+        _fit(1)
         snap = metrics.registry.snapshot()
         assert snap["executor.task_run_seconds"]["count"] == 3
         assert "executor.task_wait_seconds" not in snap
@@ -107,7 +111,7 @@ class TestCrossProcessTraceForwarding:
     def test_process_spans_replayed_into_parent_trace(self, tmp_path):
         trace_path = tmp_path / "trace.jsonl"
         trace.enable(trace_path)
-        _fit("process")
+        _fit(2)
         trace.disable()
         from repro.obs.export import read_trace, validate_trace
 

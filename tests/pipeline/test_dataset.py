@@ -42,6 +42,22 @@ class TestBuild:
         )
         assert accounted == funnel["collected"]
 
+    def test_reused_builder_reports_each_funnel(self, tiny_corpus, dictionary):
+        """A second build with one builder counts its own rejections."""
+        builder = DatasetBuilder(dictionary=dictionary, use_w2v_filter=False)
+        recipes = list(tiny_corpus.recipes)
+        first = builder.build(recipes)
+        second = builder.build(recipes)
+        assert second.funnel == first.funnel
+        for funnel in (first.funnel, second.funnel):
+            accounted = funnel["kept"] + funnel["duplicates"] + funnel[
+                "unparseable"
+            ] + sum(
+                count for key, count in funnel.items()
+                if key.startswith("rejected_")
+            )
+            assert accounted == funnel["collected"] == len(recipes)
+
     def test_vocabulary_sorted_unique(self, tiny_dataset):
         vocabulary = tiny_dataset.vocabulary
         assert list(vocabulary) == sorted(set(vocabulary))

@@ -188,6 +188,24 @@ class TestCacheKey:
             assert changed.cache_key() != base.cache_key(), field_name
 
 
+    def test_worker_count_stays_out_of_every_key(self, tmp_path):
+        """The worker count changes how a fit runs, never what it fits,
+        so a cached run with another count is served from the store."""
+        base = tiny_config()
+        pooled = tiny_config(
+            model=dataclasses.replace(base.model, n_workers=4)
+        )
+        assert pooled.cache_key() == base.cache_key()
+        cold = run_experiment(base, cache_dir=tmp_path)
+        clear_cache()
+        warm = run_experiment(pooled, cache_dir=tmp_path)
+        assert (
+            warm.provenance["stages"][FIT_MODEL]["fingerprint"]
+            == cold.provenance["stages"][FIT_MODEL]["fingerprint"]
+        )
+        assert warm.provenance["misses"] == 0
+
+
 class TestStageDag:
     def test_pipeline_order_respects_upstream(self):
         seen = set()

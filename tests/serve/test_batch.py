@@ -6,7 +6,6 @@ import threading
 
 import pytest
 
-from repro.cli import _build_parser
 from repro.errors import ServeError, UnknownTermError
 from repro.obs import metrics
 from repro.serve import MicroBatcher
@@ -30,9 +29,7 @@ REQUESTS = [
 
 @pytest.fixture
 def batcher(engine):
-    instance = MicroBatcher(
-        engine, max_batch=4, max_wait_s=0.01, backend="thread", n_workers=2
-    )
+    instance = MicroBatcher(engine)
     yield instance
     instance.close()
 
@@ -52,7 +49,7 @@ class TestBatchedEqualsSequential:
             assert response.seed == expected.seed
 
     def test_serial_backend_same_answers(self, engine):
-        serial = MicroBatcher(engine, max_batch=4, backend="serial")
+        serial = MicroBatcher(engine)
         try:
             assert serial.infer(REQUESTS[0]) == engine.infer(REQUESTS[0])
         finally:
@@ -69,28 +66,70 @@ class TestBatchedEqualsSequential:
             futures[1].result(30.0)
         assert futures[2].result(30.0) == engine.infer(REQUESTS[1])
 
+    def test_unexpected_error_resolves_only_its_own_future(
+        self, engine, monkeypatch
+    ):
+        infer = engine.infer
+
+        def failing_infer(request):
+            if request is REQUESTS[1]:
+                raise RuntimeError("fold-in bug")
+            return infer(request)
+
+        monkeypatch.setattr(engine, "infer", failing_infer)
+        batcher = MicroBatcher(engine)
+        try:
+            futures = [batcher.submit(r) for r in REQUESTS]
+            assert futures[0].result(30.0) == infer(REQUESTS[0])
+            with pytest.raises(RuntimeError, match="fold-in bug"):
+                futures[1].result(30.0)
+            assert futures[2].result(30.0) == infer(REQUESTS[2])
+        finally:
+            batcher.close()
+
+    def test_each_future_resolves_when_its_answer_is_ready(
+        self, engine, monkeypatch
+    ):
+        """A finished answer is not held back for its batch's slowest."""
+        entered, release = threading.Event(), threading.Event()
+        infer = engine.infer
+
+        def held_infer(request):
+            if request is REQUESTS[1]:
+                entered.set()
+                release.wait(30.0)
+            return infer(request)
+
+        monkeypatch.setattr(engine, "infer", held_infer)
+        batcher = MicroBatcher(engine)
+        try:
+            first, second = (batcher.submit(r) for r in REQUESTS[:2])
+            assert entered.wait(30.0)
+            assert first.done()
+            assert not second.done()
+            release.set()
+            assert first.result(0) == infer(REQUESTS[0])
+            assert second.result(30.0) == infer(REQUESTS[1])
+        finally:
+            release.set()
+            batcher.close()
+
 
 class TestLifecycle:
-    def test_rejects_bad_config(self, engine):
-        with pytest.raises(ServeError):
-            MicroBatcher(engine, max_batch=0)
-        with pytest.raises(ServeError):
-            MicroBatcher(engine, max_wait_s=-1.0)
-
     def test_close_is_idempotent(self, engine):
-        batcher = MicroBatcher(engine, max_batch=2)
+        batcher = MicroBatcher(engine)
         batcher.close()
         batcher.close()
-        assert batcher.closed
+        assert not batcher._thread.is_alive()
 
     def test_submit_after_close_raises(self, engine):
-        batcher = MicroBatcher(engine, max_batch=2)
+        batcher = MicroBatcher(engine)
         batcher.close()
         with pytest.raises(ServeError, match="closed"):
             batcher.submit(REQUESTS[0])
 
     def test_pending_work_drains_on_close(self, engine):
-        batcher = MicroBatcher(engine, max_batch=8, max_wait_s=0.5)
+        batcher = MicroBatcher(engine)
         futures = [batcher.submit(r) for r in REQUESTS]
         batcher.close()
         for request, future in zip(REQUESTS, futures):
@@ -99,7 +138,7 @@ class TestLifecycle:
     def test_batch_size_metric_observed(self, engine):
         histogram = metrics.registry.histogram("serve.batch_size")
         before = histogram.count
-        batcher = MicroBatcher(engine, max_batch=4)
+        batcher = MicroBatcher(engine)
         try:
             batcher.infer(REQUESTS[0])
         finally:
@@ -108,14 +147,6 @@ class TestLifecycle:
 
 
 class TestNoWindowByDefault:
-    def test_defaults_are_zero(self, engine):
-        batcher = MicroBatcher(engine)
-        try:
-            assert batcher.max_wait_s == 0
-        finally:
-            batcher.close()
-        assert _build_parser().parse_args(["serve"]).batch_wait_ms == 0
-
     def test_lone_request_never_waits_for_company(self, engine):
         """The collector takes what is queued without a timed ``get``."""
         batcher = MicroBatcher(engine)

@@ -193,9 +193,12 @@ class TestCorruptArchives:
     @pytest.mark.parametrize("version", [1, 2])
     def test_retired_n_shards_key_loads(self, fitted_joint, tmp_path, version):
         """Archives written while the model configs had an ``n_shards``
-        field carry ``"n_shards": null``; they must keep loading."""
+        field carry ``"n_shards": null``, and those written while they
+        had a ``backend`` field and a nullable ``n_workers`` carry
+        ``"backend": "serial", "n_workers": null``; they must keep
+        loading."""
         header = self._saved_header(fitted_joint, tmp_path, version)
-        header["config"]["n_shards"] = None
+        header["config"].update(n_shards=None, backend="serial", n_workers=None)
         path = tmp_path / "m.npz"
         _write_with_header(path, header, self._arrays(fitted_joint))
         model, _ = load_model(path)
