@@ -97,14 +97,10 @@ class FingerprintPurityRule(Rule):
             yield from self._check_function(info, root_of[qualname])
 
     #: Modules whose every function is a fingerprint input and therefore
-    #: a purity root: the canonicalise/hash helpers, and the chunked
-    #: payload digests (a chunk's SHA-256 is rolled into its artifact's
-    #: provenance, so wall-clock or entropy in chunk bytes would split
-    #: cache entries between identical corpora).
-    _ROOT_MODULES: ClassVar[tuple[str, ...]] = (
-        "repro.artifacts.chunks",
-        "repro.artifacts.fingerprint",
-    )
+    #: a purity root: the canonicalise/hash helpers (wall-clock or
+    #: entropy in a fingerprint would split cache entries between
+    #: identical configs).
+    _ROOT_MODULES: ClassVar[tuple[str, ...]] = ("repro.artifacts.fingerprint",)
 
     @classmethod
     def _roots(cls, project: ProjectContext) -> list[str]:

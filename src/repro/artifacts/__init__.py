@@ -9,9 +9,6 @@ provenance-tracked on-disk artifact:
   fields;
 * :mod:`repro.artifacts.stage` — the typed :class:`Stage` abstraction
   (config slice, compute, save/load, format version);
-* :mod:`repro.artifacts.chunks` — chunked payloads: ordered
-  SHA-256-hashed byte chunks under one artifact, with verified reads
-  (the sharded corpus path is built on these);
 * :mod:`repro.artifacts.store` — the content-addressed
   :class:`ArtifactStore` (atomic writes, provenance manifests, run
   records, garbage collection);
@@ -23,12 +20,6 @@ The concrete five-stage experiment pipeline lives in
 :mod:`repro.pipeline.stages`.
 """
 
-from repro.artifacts.chunks import (
-    ChunkReader,
-    ChunkWriter,
-    chunk_digest,
-    combined_digest,
-)
 from repro.artifacts.fingerprint import (
     canonical,
     canonical_json,
@@ -42,12 +33,8 @@ from repro.artifacts.store import ArtifactStore
 
 __all__ = [
     "ArtifactStore",
-    "ChunkReader",
-    "ChunkWriter",
     "Stage",
     "canonical",
-    "chunk_digest",
-    "combined_digest",
     "canonical_json",
     "describe_run",
     "fingerprint_of",

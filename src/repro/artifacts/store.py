@@ -232,9 +232,9 @@ class ArtifactStore:
         The manifest goes first: the instant it is unlinked the artifact
         reads as absent (:meth:`has` keys on the manifest), so a crash
         anywhere in the remaining removal can never leave a manifest
-        whose payload — chunks included — was partially collected. The
-        leftover manifest-less directory is debris that the next
-        :meth:`gc` sweeps up.
+        whose payload was partially collected. The leftover
+        manifest-less directory is debris that the next :meth:`gc`
+        sweeps up.
         """
         manifest = directory / _MANIFEST
         if manifest.exists():
@@ -262,8 +262,8 @@ class ArtifactStore:
         the ``keep_runs`` most recent are deleted, then every artifact
         not referenced by a surviving run manifest is deleted —
         manifest-first per artifact (see :meth:`_remove_artifact`), so a
-        chunked payload is collected together with its manifest as one
-        unit and readers never observe a manifest with missing chunks.
+        payload is collected together with its manifest as one unit and
+        readers never observe a manifest with missing payload files.
         Manifest-less debris directories left by crashed writers or a
         crashed earlier gc are swept too. With ``dry_run`` nothing is
         touched; the would-be removals are returned.

@@ -49,9 +49,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from pathlib import Path
 from typing import Sequence
 
-from repro.errors import ModelError, ReproError
+from repro.errors import ModelError, ReproError, ServeError
 from repro.obs import log as obs_log
 from repro.obs import profile as obs_profile
 from repro.obs import series as obs_series
@@ -88,7 +89,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("table1", help="Table I: published vs simulated rheology")
 
     pipeline = sub.add_parser("pipeline", help="full pipeline + main tables")
-    pipeline.add_argument("--recipes", type=int, default=1500)
+    pipeline.add_argument("--recipes", type=int, action=_int_in(1), default=1500)
     pipeline.add_argument("--sweeps", type=int, default=300)
     pipeline.add_argument("--seed", type=int, default=11)
     pipeline.add_argument(
@@ -108,7 +109,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_cache_flags(pipeline)
 
     figures = sub.add_parser("figures", help="Fig 3 and Fig 4 series")
-    figures.add_argument("--recipes", type=int, default=1500)
+    figures.add_argument("--recipes", type=int, action=_int_in(1), default=1500)
     figures.add_argument("--sweeps", type=int, default=300)
     figures.add_argument("--seed", type=int, default=11)
     _add_kernel_flag(figures)
@@ -118,7 +119,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "run",
         help="run the staged pipeline and print stage provenance",
     )
-    run.add_argument("--recipes", type=int, default=1500)
+    run.add_argument("--recipes", type=int, action=_int_in(1), default=1500)
     run.add_argument("--sweeps", type=int, default=300)
     run.add_argument("--seed", type=int, default=11)
     run.add_argument(
@@ -174,24 +175,6 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="SECONDS",
         help="sampling interval for --series (default: 1.0)",
     )
-    run.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        metavar="N",
-        help="split the corpus into N content-hashed shards and run the "
-             "sharded out-of-core pipeline; the fit runs single-stream on "
-             "the merged dataset (default: 1, or planned from "
-             "--max-resident-mb)",
-    )
-    run.add_argument(
-        "--max-resident-mb",
-        type=float,
-        default=None,
-        metavar="MB",
-        help="memory ceiling the shard plan targets for resident corpus "
-             "shards; ignored when --shards is given explicitly",
-    )
     _add_kernel_flag(run)
     _add_cache_flags(run)
 
@@ -241,7 +224,10 @@ def _build_parser() -> argparse.ArgumentParser:
              "(default: the most recent run in the store)",
     )
     serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=8321)
+    serve.add_argument(
+        "--port", type=int, action=_int_in(0, 65535), default=8321,
+        help="TCP port (default: 8321; 0 picks a free one)",
+    )
     serve.add_argument(
         "--fold-in-sweeps", type=int, default=48,
         help="Gibbs fold-in sweeps per request (burn-in is a third)",
@@ -348,13 +334,13 @@ def _build_parser() -> argparse.ArgumentParser:
         help="e.g. gelatin=5g water=300ml sugar='oosaji 2'",
     )
     estimate.add_argument("--description", default="")
-    estimate.add_argument("--recipes", type=int, default=1500)
+    estimate.add_argument("--recipes", type=int, action=_int_in(1), default=1500)
     estimate.add_argument("--seed", type=int, default=11)
 
     search = sub.add_parser("search", help="find recipes by texture terms")
     search.add_argument("terms", nargs="+", metavar="TERM")
-    search.add_argument("--top", type=int, default=10)
-    search.add_argument("--recipes", type=int, default=1500)
+    search.add_argument("--top", type=int, action=_int_in(1), default=10)
+    search.add_argument("--recipes", type=int, action=_int_in(1), default=1500)
     search.add_argument("--seed", type=int, default=11)
 
     rules = sub.add_parser(
@@ -362,7 +348,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     rules.add_argument("--limit", type=int, default=15)
     rules.add_argument("--min-effect", type=float, default=1.0)
-    rules.add_argument("--recipes", type=int, default=1500)
+    rules.add_argument("--recipes", type=int, action=_int_in(1), default=1500)
     rules.add_argument("--seed", type=int, default=11)
 
     dictionary = sub.add_parser(
@@ -382,7 +368,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "report", help="write the full table/figure bundle to a directory"
     )
     report.add_argument("directory")
-    report.add_argument("--recipes", type=int, default=1500)
+    report.add_argument("--recipes", type=int, action=_int_in(1), default=1500)
     report.add_argument("--sweeps", type=int, default=300)
     report.add_argument("--seed", type=int, default=11)
     _add_kernel_flag(report)
@@ -396,6 +382,42 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     configure_lint_parser(lint)
     return parser
+
+
+def _int_in(low: int, high: int | None = None) -> type[argparse.Action]:
+    """An argparse action for ``type=int`` options bounded to ``[low, high]``.
+
+    A value out of range is a usage error: argparse prints it and exits 2.
+    """
+
+    class Bounded(argparse.Action):
+        def __call__(self, parser, namespace, value, option_string=None):
+            if value < low or (high is not None and value > high):
+                bound = f">= {low}" if high is None else f"in {low}..{high}"
+                parser.error(
+                    f"argument {option_string}: must be {bound}, got {value}"
+                )
+            setattr(namespace, self.dest, value)
+
+    return Bounded
+
+
+def _check_writable(path: str, directory: bool = False) -> None:
+    """Raise before any work is done when ``path`` cannot be written.
+
+    A file needs an existing parent directory and must not itself be a
+    directory. A directory is created on demand, so its nearest
+    existing ancestor must be a directory.
+    """
+    target = Path(path)
+    if directory:
+        blocker = next(p for p in (target, *target.parents) if p.exists())
+        if not blocker.is_dir():
+            raise ReproError(f"cannot write to {path}: {blocker} is a file")
+    elif target.is_dir():
+        raise ReproError(f"cannot write {path}: it is a directory")
+    elif not target.parent.is_dir():
+        raise ReproError(f"cannot write {path}: no directory {target.parent}")
 
 
 def _add_kernel_flag(parser: argparse.ArgumentParser) -> None:
@@ -478,19 +500,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     from repro.artifacts.runner import describe_run
 
+    if args.json:
+        _check_writable(args.json)
     config = quick_config(args.recipes, args.sweeps, args.seed)
     if args.method != "gibbs":
         config = dataclasses.replace(config, inference=args.method)
     if args.no_w2v_filter:
         config = dataclasses.replace(config, use_w2v_filter=False)
-    if args.shards is not None:
-        n_shards = args.shards
-    else:
-        from repro.corpus.sharded import plan_shards
-
-        n_shards = plan_shards(args.recipes, args.max_resident_mb)
-    if n_shards > 1:
-        config = dataclasses.replace(config, n_shards=n_shards)
     config = _apply_parallel_options(config, args)
     result = run_experiment(config, cache_dir=args.cache_dir)
     manifest = result.provenance
@@ -535,7 +551,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         raise ModelError("--fold-in-sweeps must be >= 3")
     engine = InferenceEngine(bundle, config=FoldInConfig(n_sweeps=sweeps))
     batcher = MicroBatcher(engine)
-    server = make_server(engine, args.host, args.port, batcher=batcher)
+    try:
+        server = make_server(engine, args.host, args.port, batcher=batcher)
+    except ServeError:
+        batcher.close()
+        raise
     host, port = server.server_address[0], server.server_address[1]
     print(
         f"serving model {bundle.fingerprint} on http://{host}:{port}",
@@ -561,7 +581,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def _cmd_cache(args: argparse.Namespace) -> int:
     import json
-    from pathlib import Path
 
     from repro.artifacts.store import ArtifactStore
     from repro.errors import ArtifactError
@@ -735,6 +754,7 @@ def _cmd_dictionary(args: argparse.Namespace) -> int:
 def _cmd_report(args: argparse.Namespace) -> int:
     from repro.pipeline.bundle import write_report_bundle
 
+    _check_writable(args.directory, directory=True)
     config = _apply_parallel_options(
         quick_config(args.recipes, args.sweeps, args.seed), args
     )
@@ -864,9 +884,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     trace_path = None if inspecting else _trace_target(args)
     profile_path = None if inspecting else _profile_target(args)
     series_path = None if inspecting else getattr(args, "series", None)
+    tracing = False
     try:
+        for path in (trace_path, profile_path, series_path):
+            if path is not None:
+                _check_writable(path)
         if trace_path is not None:
             obs_trace.enable(trace_path)
+            tracing = True
         if profile_path is not None:
             obs_profile.enable(profile_path)
         if series_path is not None:
@@ -909,13 +934,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:
-        if series_path is not None:
-            obs_series.disable()
+        # disable() returns None when nothing was recording, e.g. when
+        # enable() itself failed: then no file was written.
+        if series_path is not None and obs_series.disable() is not None:
             print(f"wrote metric series to {series_path}", file=sys.stderr)
-        if profile_path is not None:
-            obs_profile.disable()
+        if profile_path is not None and obs_profile.disable() is not None:
             print(f"wrote profile to {profile_path}", file=sys.stderr)
-        if trace_path is not None:
+        if tracing:
             obs_trace.disable()
             print(f"wrote trace to {trace_path}", file=sys.stderr)
 

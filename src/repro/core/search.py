@@ -68,6 +68,8 @@ class TextureSearch:
         terms = list(terms)
         if not terms:
             raise ModelError("empty query")
+        if top < 1:
+            raise ModelError(f"top must be >= 1, got {top}")
         log_scores = np.zeros(len(self.recipe_ids))
         for surface in terms:
             log_scores += np.log(
@@ -97,6 +99,8 @@ class TextureSearch:
             index = self.recipe_ids.index(recipe_id)
         except ValueError:
             raise ModelError(f"unknown recipe id {recipe_id!r}") from None
+        if top < 1:
+            raise ModelError(f"top must be >= 1, got {top}")
         query = self.theta[index]
         norms = np.linalg.norm(self.theta, axis=1) * np.linalg.norm(query)
         scores = self.theta @ query / np.maximum(norms, 1e-12)

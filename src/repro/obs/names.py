@@ -52,18 +52,11 @@ EVENTS: frozenset[str] = frozenset(
     }
 )
 
-#: Counter, gauge and histogram names. Sharded pipeline stages also
-#: emit spans named after ``stage.name`` ("shard-dataset-0003", ...);
-#: those are parameterised by shard index and stay out of SPANS the
-#: same way dynamic stage spans always have.
+#: Counter, gauge and histogram names.
 METRICS: frozenset[str] = frozenset(
     {
         "cache.bytes_read",
         "cache.bytes_written",
-        "cache.chunk_bytes_read",
-        "cache.chunk_bytes_written",
-        "cache.chunks_read",
-        "cache.chunks_written",
         "cache.hit",
         "cache.miss",
         "executor.fallback",
@@ -73,7 +66,6 @@ METRICS: frozenset[str] = frozenset(
         "kernel.alias_refresh",
         "kernel.sweep_seconds.alias",
         "kernel.sweep_seconds.dense",
-        "pipeline.shards",
         "pipeline.stage_seconds",
         "sampler.kernel_selected",
         "sampler.sweep_log_likelihood",

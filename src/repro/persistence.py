@@ -250,8 +250,7 @@ def load_model(
 
 
 def corpus_body(corpus: Any) -> dict[str, Any]:
-    """The JSON-ready body of a corpus (shared by whole-corpus and
-    per-shard serialisation)."""
+    """The JSON-ready body of a corpus, as :func:`save_corpus` writes it."""
     return {
         "format": CORPUS_FORMAT,
         "version": CORPUS_FORMAT_VERSION,

@@ -32,7 +32,6 @@ from repro.embedding.gel_filter import GelRelatednessFilter
 from repro.embedding.skipgram import SkipGramConfig
 from repro.errors import CorpusError, UnitConversionError, UnitParseError
 from repro.lexicon.dictionary import TextureDictionary, build_dictionary
-from repro.rheology.gel_system import EMULSION_NAMES, GEL_NAMES
 from repro.rng import RngLike, ensure_rng
 
 #: Word2vec settings used for the Section III-A gel-relatedness filter
@@ -156,32 +155,6 @@ class DatasetBuilder:
         }
         return _dataset_of(kept, excluded, funnel)
 
-    # -- sharded builds -------------------------------------------------------
-
-    def build_shard(
-        self,
-        recipes: Iterable[Recipe],
-        excluded: frozenset[str],
-    ) -> TextureDataset:
-        """Featurise one corpus shard with a precomputed exclusion set.
-
-        Sharded builds run the word2vec gel-relatedness filter once over
-        the whole corpus and feed its surface set in here, so every
-        shard agrees on the exclusions. Unlike :meth:`build`, a shard
-        where the funnel rejects every recipe is a legitimate outcome:
-        the result is a zero-row dataset whose funnel still records the
-        rejections, and :func:`merge_datasets` raises only when *all*
-        shards come back empty. Near-duplicate removal is skipped —
-        per-shard MinHash cannot see cross-shard duplicates, so sharded
-        corpora must be deduplicated upstream.
-        """
-        recipes = list(recipes)
-        kept, counts = self._featurise(recipes, excluded)
-        funnel = {"collected": len(recipes), "duplicates": 0, **counts}
-        if not kept:
-            return _empty_dataset(excluded, funnel)
-        return _dataset_of(kept, excluded, funnel)
-
     def _featurise(
         self, recipes: Sequence[Recipe], excluded: frozenset[str]
     ) -> tuple[list[RecipeFeatures], dict[str, int]]:
@@ -238,78 +211,6 @@ def _dataset_of(
         emulsion_log=np.vstack([f.emulsion_log for f in kept]),
         gel_raw=np.vstack([f.gel_raw for f in kept]),
         emulsion_raw=np.vstack([f.emulsion_raw for f in kept]),
-        excluded_terms=excluded,
-        funnel=funnel,
-    )
-
-
-def _empty_dataset(
-    excluded: frozenset[str], funnel: Mapping[str, int]
-) -> TextureDataset:
-    """A zero-recipe dataset with correctly shaped feature matrices."""
-    return TextureDataset(
-        features=(),
-        vocabulary=(),
-        docs=(),
-        gel_log=np.zeros((0, len(GEL_NAMES))),
-        emulsion_log=np.zeros((0, len(EMULSION_NAMES))),
-        gel_raw=np.zeros((0, len(GEL_NAMES))),
-        emulsion_raw=np.zeros((0, len(EMULSION_NAMES))),
-        excluded_terms=excluded,
-        funnel=dict(funnel),
-    )
-
-
-def merge_datasets(parts: Sequence[TextureDataset]) -> TextureDataset:
-    """Merge per-shard datasets into one corpus-wide dataset.
-
-    The merged vocabulary is the sorted union of the shard vocabularies
-    (matching what an unsharded :meth:`DatasetBuilder.build` over the
-    concatenated recipes would produce), shard-local term ids are
-    remapped into it, and integer funnel counters are summed. Empty
-    shards contribute their funnel counts but no rows; if *every* shard
-    is empty the corpus-wide filter rejected everything, which is the
-    same error the unsharded build raises.
-    """
-    if not parts:
-        raise CorpusError("no dataset shards to merge")
-    excluded = parts[0].excluded_terms
-    for part in parts[1:]:
-        if part.excluded_terms != excluded:
-            raise CorpusError("dataset shards disagree on excluded terms")
-    if all(len(part) == 0 for part in parts):
-        raise CorpusError("dataset filter rejected every recipe")
-
-    vocabulary = tuple(
-        sorted({surface for part in parts for surface in part.vocabulary})
-    )
-    term_ids = {surface: i for i, surface in enumerate(vocabulary)}
-    docs: list[np.ndarray] = []
-    features: list[RecipeFeatures] = []
-    for part in parts:
-        remap = np.array(
-            [term_ids[surface] for surface in part.vocabulary],
-            dtype=np.int64,
-        )
-        for doc in part.docs:
-            docs.append(remap[doc] if len(doc) else doc.astype(np.int64))
-        features.extend(part.features)
-
-    funnel: dict[str, int] = {}
-    for part in parts:
-        for key, value in part.funnel.items():
-            if isinstance(value, int):
-                funnel[key] = funnel.get(key, 0) + value
-    funnel["shards"] = len(parts)
-
-    return TextureDataset(
-        features=tuple(features),
-        vocabulary=vocabulary,
-        docs=tuple(docs),
-        gel_log=np.vstack([part.gel_log for part in parts]),
-        emulsion_log=np.vstack([part.emulsion_log for part in parts]),
-        gel_raw=np.vstack([part.gel_raw for part in parts]),
-        emulsion_raw=np.vstack([part.emulsion_raw for part in parts]),
         excluded_terms=excluded,
         funnel=funnel,
     )

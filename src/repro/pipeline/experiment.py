@@ -27,7 +27,6 @@ import numpy as np
 
 from repro.artifacts.store import ArtifactStore
 from repro.core.joint_model import JointModelConfig
-from repro.corpus.sharded import ShardedCorpus
 from repro.core.linkage import TopicLinker
 from repro.pipeline.dataset import TextureDataset
 from repro.pipeline.stages import (
@@ -36,14 +35,10 @@ from repro.pipeline.stages import (
     FIT_MODEL,
     SYNTH_CORPUS,
     experiment_fingerprint,
-    make_model,
     run_staged,
 )
 from repro.synth.generator import SyntheticCorpus
 from repro.synth.presets import CorpusPreset, DEFAULT_PRESET
-
-#: Backward-compatible alias (pre-stage-refactor private name).
-_make_model = make_model
 
 
 @dataclass(frozen=True)
@@ -59,19 +54,6 @@ class ExperimentConfig:
     #: Inference method: "gibbs" (paper), "collapsed" (Rao-Blackwellised
     #: Gibbs) or "vb" (variational CAVI).
     inference: str = "gibbs"
-    #: Corpus shards. 1 (default) runs the classic in-memory five-stage
-    #: pipeline, bit-identical to before the sharded path existed; >1
-    #: generates the corpus out-of-core as content-hashed chunks and
-    #: featurises the dataset shard-by-shard (see ``docs/scaling.md``).
-    #: :func:`repro.corpus.sharded.plan_shards` picks a value from a
-    #: memory ceiling.
-    n_shards: int = 1
-
-    def __post_init__(self) -> None:
-        if self.n_shards < 1:
-            from repro.errors import ExperimentError
-
-            raise ExperimentError("n_shards must be >= 1")
 
     def cache_key(self) -> str:
         """Content fingerprint of this configuration.
@@ -90,10 +72,7 @@ class ExperimentResult:
     """A fitted pipeline: corpus + dataset + model + linker."""
 
     config: ExperimentConfig
-    #: :class:`~repro.synth.generator.SyntheticCorpus` for unsharded
-    #: runs, :class:`~repro.corpus.sharded.ShardedCorpus` (same read
-    #: surface: ``len``, ``truth_of``, ``preset_name``) for sharded ones.
-    corpus: SyntheticCorpus | ShardedCorpus
+    corpus: SyntheticCorpus
     dataset: TextureDataset
     model: Any
     linker: TopicLinker

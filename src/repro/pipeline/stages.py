@@ -18,36 +18,24 @@ threads generator state through cache hits), which keeps the staged
 pipeline bit-identical to the historical monolithic
 ``run_experiment`` — and bit-identical between cached and fresh runs.
 
-With ``config.n_shards > 1`` the same DAG runs *sharded*: the corpus is
-generated and stored as N content-hashed chunks (bounded memory, see
-:mod:`repro.corpus.sharded`), the dataset is featurised per shard by
-``shard-dataset-NNNN`` stages keyed on each shard's chunk digest, and a
-merge stage — still named ``build-dataset``, so the model, linker and
-serving layers are untouched — reassembles the corpus-wide dataset.
-Because each shard stage's fingerprint depends only on its own chunk's
-digest and the exclusion set, a change that touches one shard
-invalidates that shard's slice and the merge-and-downstream stages,
-while every other shard keeps serving from disk. See ``docs/scaling.md``.
+The whole corpus is held in memory. CI holds a 50k-recipe run and the
+200k-recipe large-corpus bench under the committed RSS ceilings in
+``benchmarks/memory_ceiling.json``.
 """
 
 from __future__ import annotations
 
-import shutil
-import tempfile
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping
 
 import numpy as np
 
-from repro.artifacts.chunks import CHUNK_DIR, CHUNK_INDEX, ChunkWriter
 from repro.artifacts.fingerprint import fingerprint_of
-from repro.artifacts.runner import RUN_MANIFEST_VERSION, run_pipeline
+from repro.artifacts.runner import run_pipeline
 from repro.artifacts.stage import Stage
 from repro.artifacts.store import ArtifactStore
 from repro.core.linkage import TopicLinker
-from repro.corpus.sharded import ShardInfo, ShardedCorpus, encode_shard
 from repro.lexicon.dictionary import build_dictionary
-from repro.obs import metrics
 from repro.persistence import (
     load_corpus,
     load_dataset,
@@ -60,7 +48,7 @@ from repro.persistence import (
     save_linker,
     save_model,
 )
-from repro.pipeline.dataset import DatasetBuilder, TextureDataset, merge_datasets
+from repro.pipeline.dataset import DatasetBuilder, TextureDataset
 from repro.rng import ensure_rng
 from repro.synth.generator import CorpusGenerator, SyntheticCorpus
 
@@ -70,17 +58,6 @@ GEL_FILTER = "gel-filter"
 BUILD_DATASET = "build-dataset"
 FIT_MODEL = "fit-model"
 BUILD_LINKER = "build-linker"
-
-#: Sentence cap for the sharded gel-filter stage: word2vec trains on a
-#: seeded uniform reservoir of at most this many sentences, so filter
-#: memory stays bounded no matter how many shards the corpus holds.
-MAX_FILTER_SENTENCES = 100_000
-
-
-def shard_stage_name(index: int) -> str:
-    """Name of the per-shard dataset stage for shard ``index``."""
-    return f"shard-dataset-{index:04d}"
-
 
 def make_model(config: Any) -> Any:
     """Instantiate the configured inference method."""
@@ -258,190 +235,6 @@ PIPELINE: tuple[Stage[Any], ...] = (
 )
 
 
-# -- sharded stages ---------------------------------------------------------
-
-
-class ShardedCorpusStage(Stage[ShardedCorpus]):
-    """Generate the corpus out-of-core, as N content-hashed shard chunks.
-
-    ``compute`` streams :meth:`~repro.synth.generator.CorpusGenerator.generate_shards`
-    straight into a :class:`~repro.artifacts.chunks.ChunkWriter`, so at
-    most one shard of recipes is ever resident; the payload is a lazy
-    :class:`~repro.corpus.sharded.ShardedCorpus` handle over the written
-    chunks. Same stage name as :class:`SynthCorpusStage` — the
-    ``n_shards`` knob in the config slice keeps their fingerprints (and
-    therefore their cache entries) apart.
-    """
-
-    name = SYNTH_CORPUS
-    version = 1
-    upstream = ()
-
-    def config_of(self, config: Any) -> Mapping[str, Any]:
-        return {
-            "preset": config.preset,
-            "seed": config.seed,
-            "n_shards": config.n_shards,
-        }
-
-    def compute(
-        self, config: Any, inputs: Mapping[str, Any], rng: np.random.Generator
-    ) -> ShardedCorpus:
-        scratch = tempfile.TemporaryDirectory(prefix="repro-shards-")
-        writer = ChunkWriter(scratch.name)
-        generator = CorpusGenerator(rng=rng)
-        for shard in generator.generate_shards(config.preset, config.n_shards):
-            writer.add(
-                encode_shard(shard),
-                meta={
-                    "n_recipes": len(shard.recipes),
-                    "preset_name": config.preset.name,
-                },
-            )
-        writer.finalize()
-        corpus = ShardedCorpus.open(scratch.name)
-        # The handle owns the scratch directory: chunks stay readable for
-        # as long as downstream stages hold the payload, then get cleaned
-        # up with it.
-        corpus._scratch = scratch  # type: ignore[attr-defined]
-        return corpus
-
-    def save(self, payload: ShardedCorpus, directory: Path) -> None:
-        source = payload.directory
-        shutil.copytree(source / CHUNK_DIR, directory / CHUNK_DIR)
-        shutil.copy(source / CHUNK_INDEX, directory / CHUNK_INDEX)
-
-    def load(self, directory: Path) -> ShardedCorpus:
-        return ShardedCorpus.open(directory)
-
-
-class ShardedGelFilterStage(Stage[frozenset]):
-    """Section III-A gel-relatedness filtering over a sharded corpus.
-
-    Sentences are drawn shard-by-shard into a seeded uniform reservoir of
-    at most :data:`MAX_FILTER_SENTENCES`, so word2vec training memory is
-    bounded regardless of corpus size.
-    """
-
-    name = GEL_FILTER
-    version = 1
-    upstream = (SYNTH_CORPUS,)
-
-    def config_of(self, config: Any) -> Mapping[str, Any]:
-        from repro.pipeline.dataset import DEFAULT_W2V_CONFIG
-
-        return {
-            "use_w2v_filter": config.use_w2v_filter,
-            "w2v": DEFAULT_W2V_CONFIG,
-            "max_sentences": MAX_FILTER_SENTENCES,
-        }
-
-    def compute(
-        self, config: Any, inputs: Mapping[str, Any], rng: np.random.Generator
-    ) -> frozenset:
-        if not config.use_w2v_filter:
-            return frozenset()
-        from repro.embedding.gel_filter import GelRelatednessFilter
-
-        corpus: ShardedCorpus = inputs[SYNTH_CORPUS]
-        builder = DatasetBuilder(dictionary=build_dictionary())
-        reservoir: list[list[str]] = []
-        seen = 0
-        for shard in corpus.iter_shards():
-            for sentence in builder.sentences_of(shard.recipes):
-                seen += 1
-                if len(reservoir) < MAX_FILTER_SENTENCES:
-                    reservoir.append(sentence)
-                else:
-                    slot = int(rng.integers(seen))
-                    if slot < MAX_FILTER_SENTENCES:
-                        reservoir[slot] = sentence
-        gel_filter = GelRelatednessFilter(config=builder.w2v_config)
-        gel_filter.fit(reservoir, rng=rng)
-        return frozenset(gel_filter.excluded_surfaces(builder.dictionary))
-
-    def save(self, payload: frozenset, directory: Path) -> None:
-        save_excluded_terms(payload, directory / "excluded.json")
-
-    def load(self, directory: Path) -> frozenset:
-        return load_excluded_terms(directory / "excluded.json")
-
-
-class ShardDatasetStage(Stage[TextureDataset]):
-    """Featurise one corpus shard into a shard-local dataset.
-
-    Declares no upstream: its fingerprint is keyed on the shard's chunk
-    digest and the exclusion surface set instead, which is exactly the
-    content the output depends on. Regenerating a corpus where this
-    shard's bytes are unchanged therefore cache-hits this stage even when
-    sibling shards changed.
-    """
-
-    version = 1
-    upstream = ()
-
-    def __init__(
-        self,
-        shard: ShardInfo,
-        corpus: ShardedCorpus,
-        excluded: frozenset,
-    ) -> None:
-        self.name = shard_stage_name(shard.index)
-        self.shard = shard
-        self.corpus = corpus
-        self.excluded = excluded
-
-    def config_of(self, config: Any) -> Mapping[str, Any]:
-        return {
-            "shard_digest": self.shard.digest,
-            "excluded": sorted(self.excluded),
-        }
-
-    def compute(
-        self, config: Any, inputs: Mapping[str, Any], rng: np.random.Generator
-    ) -> TextureDataset:
-        shard = self.corpus.load_shard(self.shard.index)
-        builder = DatasetBuilder(dictionary=build_dictionary())
-        return builder.build_shard(shard.recipes, excluded=self.excluded)
-
-    def save(self, payload: TextureDataset, directory: Path) -> None:
-        save_dataset(payload, directory / "dataset.npz")
-
-    def load(self, directory: Path) -> TextureDataset:
-        return load_dataset(directory / "dataset.npz")
-
-
-class MergeDatasetStage(Stage[TextureDataset]):
-    """Merge shard datasets into the corpus-wide dataset.
-
-    Named :data:`BUILD_DATASET` on purpose: downstream stages, run
-    manifests and the serving layer address the dataset by that name and
-    cannot tell a merged dataset from a monolithic one. The upstream
-    fingerprint chain (shard stages here vs. corpus+filter in the
-    unsharded DAG) keeps the cache entries distinct.
-    """
-
-    name = BUILD_DATASET
-    version = 1
-
-    def __init__(self, shard_names: Sequence[str]) -> None:
-        self.upstream = tuple(shard_names)
-
-    def config_of(self, config: Any) -> Mapping[str, Any]:
-        return {}
-
-    def compute(
-        self, config: Any, inputs: Mapping[str, Any], rng: np.random.Generator
-    ) -> TextureDataset:
-        return merge_datasets([inputs[name] for name in self.upstream])
-
-    def save(self, payload: TextureDataset, directory: Path) -> None:
-        save_dataset(payload, directory / "dataset.npz")
-
-    def load(self, directory: Path) -> TextureDataset:
-        return load_dataset(directory / "dataset.npz")
-
-
 def experiment_fingerprint(config: Any) -> str:
     """Content fingerprint of a full experiment configuration.
 
@@ -458,13 +251,8 @@ def run_staged(
     """Run the staged pipeline, serving repeats from ``store``.
 
     Returns ``(payloads, run_manifest)``; payloads are keyed by stage
-    name (:data:`SYNTH_CORPUS` … :data:`BUILD_LINKER`). With
-    ``config.n_shards > 1`` the corpus and dataset stages run sharded
-    (see :func:`run_staged_sharded`); the classic five-stage path is
-    bit-identical to what it always was.
+    name (:data:`SYNTH_CORPUS` … :data:`BUILD_LINKER`).
     """
-    if getattr(config, "n_shards", 1) > 1:
-        return run_staged_sharded(config, store)
     return run_pipeline(
         PIPELINE,
         config,
@@ -473,75 +261,3 @@ def run_staged(
         seed=config.seed,
         experiment_fingerprint=experiment_fingerprint(config),
     )
-
-
-def run_staged_sharded(
-    config: Any, store: ArtifactStore | None = None
-) -> tuple[dict[str, Any], dict[str, Any]]:
-    """Run the sharded pipeline: chunked corpus, per-shard datasets.
-
-    Two phases share one RNG stream and one artifact store. Phase one
-    generates (or cache-loads) the chunked corpus and the exclusion set;
-    only then are the shard digests known, so phase two's per-shard
-    stages are constructed from the live shard layout and run together
-    with the merge, fit and linker stages. One combined run manifest is
-    written at the end — never in between — so a crash mid-pipeline
-    leaves no run manifest referencing half a run, and ``cache gc``
-    keeps or drops the whole run's artifacts as a unit.
-    """
-    rng = ensure_rng(config.seed)
-    payloads, head = run_pipeline(
-        (ShardedCorpusStage(), ShardedGelFilterStage()),
-        config,
-        rng,
-        store=store,
-        seed=config.seed,
-        experiment_fingerprint=None,
-    )
-    corpus: ShardedCorpus = payloads[SYNTH_CORPUS]
-    shard_stages = [
-        ShardDatasetStage(info, corpus, payloads[GEL_FILTER])
-        for info in corpus.shards
-    ]
-    metrics.registry.gauge("pipeline.shards").set(len(shard_stages))
-    tail_stages: tuple[Stage[Any], ...] = (
-        *shard_stages,
-        MergeDatasetStage([stage.name for stage in shard_stages]),
-        FitModelStage(),
-        BuildLinkerStage(),
-    )
-    tail_payloads, tail = run_pipeline(
-        tail_stages,
-        config,
-        rng,
-        store=store,
-        seed=config.seed,
-        experiment_fingerprint=None,
-    )
-    payloads.update(tail_payloads)
-
-    manifest: dict[str, Any] = {
-        "format": "repro-run",
-        "version": RUN_MANIFEST_VERSION,
-        "experiment": experiment_fingerprint(config),
-        "repro_version": head.get("repro_version"),
-        "seed": config.seed,
-        "created_unix": tail.get("created_unix"),
-        "total_seconds": (
-            (head.get("total_seconds") or 0.0)
-            + (tail.get("total_seconds") or 0.0)
-        ),
-        "cache_dir": str(store.root) if store is not None else None,
-        "order": list(head.get("order", [])) + list(tail.get("order", [])),
-        "hits": head.get("hits", 0) + tail.get("hits", 0),
-        "misses": head.get("misses", 0) + tail.get("misses", 0),
-        "stages": {**head.get("stages", {}), **tail.get("stages", {})},
-        "sharded": {
-            "n_shards": corpus.n_shards,
-            "n_recipes": len(corpus),
-            "payload_digest": corpus.describe()["payload_digest"],
-        },
-    }
-    if store is not None:
-        store.write_run_manifest(manifest)
-    return payloads, manifest

@@ -317,8 +317,18 @@ def make_server(
     port: int = 8321,
     batcher: MicroBatcher | None = None,
 ) -> TextureServer:
-    """Build (but do not start) a server; ``port=0`` picks a free port."""
-    return TextureServer((host, port), ServeApp(engine, batcher=batcher))
+    """Build (but do not start) a server; ``port=0`` picks a free port.
+
+    Raises :class:`~repro.errors.ServeError` naming ``host:port`` when
+    the address cannot be bound: the port is taken, out of range, or
+    the host is not a local address.
+    """
+    app = ServeApp(engine, batcher=batcher)
+    try:
+        return TextureServer((host, port), app)
+    except (OSError, OverflowError) as exc:
+        reason = getattr(exc, "strerror", None) or str(exc)
+        raise ServeError(f"cannot listen on {host}:{port}: {reason}") from exc
 
 
 def run_server(server: TextureServer) -> threading.Thread:

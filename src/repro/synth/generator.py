@@ -35,7 +35,7 @@ from repro.rheology.gel_system import (
     Composition,
     GelSystemModel,
 )
-from repro.rng import RngLike, ensure_rng, spawn
+from repro.rng import RngLike, ensure_rng
 from repro.synth import templates
 from repro.synth.archetypes import ARCHETYPE_INDEX, Archetype, Optional_
 from repro.synth.ingredients import render_quantity
@@ -130,59 +130,18 @@ class CorpusGenerator:
 
     def generate(self, preset: CorpusPreset = DEFAULT_PRESET) -> SyntheticCorpus:
         """Generate a full corpus according to ``preset``."""
-        return self._generate_range(preset, 0, preset.n_recipes, self.rng)
-
-    def generate_shards(
-        self, preset: CorpusPreset, n_shards: int
-    ) -> Iterator[SyntheticCorpus]:
-        """Generate the corpus shard-by-shard with bounded memory.
-
-        Yields ``n_shards`` contiguous :class:`SyntheticCorpus` slices
-        whose recipe ids carry *global* indices (``R000000`` onward), so
-        the concatenation is id-compatible with :meth:`generate`. Each
-        shard draws from its own pre-spawned child RNG stream, which
-        makes shard ``i``'s content independent of how many shards
-        precede it in memory — only the parent seed and the shard layout
-        matter. At most one shard of recipes is materialised at a time;
-        callers stream the slices to disk (see
-        :class:`~repro.corpus.sharded.ShardedCorpus`).
-        """
-        from repro.corpus.sharded import shard_sizes
-
-        sizes = shard_sizes(preset.n_recipes, n_shards)
-        streams = spawn(self.rng, len(sizes))
-        start = 0
-        for shard_rng, size in zip(streams, sizes):
-            yield self._generate_range(preset, start, start + size, shard_rng)
-            start += size
-
-    def _generate_range(
-        self,
-        preset: CorpusPreset,
-        start: int,
-        stop: int,
-        rng: np.random.Generator,
-    ) -> SyntheticCorpus:
-        """Generate recipes for global indices ``[start, stop)``."""
         names = sorted(preset.archetype_weights)
         weights = np.array([preset.archetype_weights[n] for n in names])
         weights = weights / weights.sum()
         recipes: list[Recipe] = []
         truths: dict[str, GroundTruth] = {}
-        previous_rng = self.rng
-        self.rng = rng
-        try:
-            for index in range(start, stop):
-                archetype = ARCHETYPE_INDEX[
-                    names[int(rng.choice(len(names), p=weights))]
-                ]
-                recipe, truth = self.generate_one(
-                    f"R{index:06d}", archetype, preset
-                )
-                recipes.append(recipe)
-                truths[recipe.recipe_id] = truth
-        finally:
-            self.rng = previous_rng
+        for index in range(preset.n_recipes):
+            archetype = ARCHETYPE_INDEX[
+                names[int(self.rng.choice(len(names), p=weights))]
+            ]
+            recipe, truth = self.generate_one(f"R{index:06d}", archetype, preset)
+            recipes.append(recipe)
+            truths[recipe.recipe_id] = truth
         return SyntheticCorpus(
             recipes=tuple(recipes),
             truths=truths,

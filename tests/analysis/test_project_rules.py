@@ -197,13 +197,12 @@ class TestFingerprintPurity:
         assert [v.rule for v in violations] == ["DET001"]
         assert "unordered set" in violations[0].message
 
-    def test_chunk_digest_helpers_are_purity_roots(self):
-        """repro.artifacts.chunks is a root module: a wall-clock read in
-        a chunk-digest helper (even an internal one with no Stage in
-        sight) must be flagged — chunk digests roll into artifact
-        provenance."""
+    def test_fingerprint_helpers_are_purity_roots(self):
+        """repro.artifacts.fingerprint is a root module: a wall-clock read
+        in a fingerprint helper (even an internal one with no Stage in
+        sight) must be flagged — fingerprints key the artifact cache."""
         ctx = ctx_from_fixture(
-            "impure_chunks.py", "src/repro/artifacts/chunks.py"
+            "impure_fingerprint.py", "src/repro/artifacts/fingerprint.py"
         )
         violations = run_project(FingerprintPurityRule(), ctx)
         assert len(violations) == 1
@@ -212,15 +211,15 @@ class TestFingerprintPurity:
         assert "time.time" in v.message
         assert "_stamp" in v.message
 
-    def test_clean_chunk_module_passes(self):
+    def test_clean_fingerprint_module_passes(self):
         ctx = ctx_from_source(
             """
             import hashlib
 
-            def chunk_digest(data):
+            def fingerprint_of(data):
                 return hashlib.sha256(data).hexdigest()
             """,
-            "src/repro/artifacts/chunks.py",
+            "src/repro/artifacts/fingerprint.py",
         )
         assert run_project(FingerprintPurityRule(), ctx) == []
 

@@ -1,6 +1,7 @@
 """Tests for repro.artifacts.store and the generic staged runner."""
 
 import json
+import shutil
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -220,3 +221,63 @@ class TestGc:
     def test_keep_runs_validated(self, tmp_path):
         with pytest.raises(ArtifactError):
             ArtifactStore(tmp_path).gc(keep_runs=-1)
+
+
+class TestGcAtomicity:
+    """gc removes an artifact atomically with respect to readers: the
+    manifest is unlinked first, so no observer ever sees a manifest whose
+    payload is partially collected, even when removal crashes mid-way."""
+
+    def _store_with_unreferenced(self, tmp_path):
+        store = ArtifactStore(tmp_path)
+        store.put(AddStage(), "cc" * 8, 41, {"stage": "add"})
+        return store
+
+    def test_gc_collects_payload_and_manifest_as_one_unit(self, tmp_path):
+        store = self._store_with_unreferenced(tmp_path)
+        directory = store.artifact_dir("add", "cc" * 8)
+        assert store.load(AddStage(), "cc" * 8)[0] == 41
+        removed, freed = store.gc(keep_runs=0)
+        assert directory in removed
+        assert freed > 0
+        assert not directory.exists()
+        assert not store.has("add", "cc" * 8)
+
+    def test_crash_mid_removal_never_leaves_partial_artifact(
+        self, tmp_path, monkeypatch
+    ):
+        """Kill the rmtree under gc: the artifact must already read as
+        absent (manifest unlinked first), and the next gc sweeps the
+        payload debris."""
+        store = self._store_with_unreferenced(tmp_path)
+        directory = store.artifact_dir("add", "cc" * 8)
+
+        def exploding_rmtree(path, *args, **kwargs):
+            raise OSError("disk pulled mid-removal")
+
+        monkeypatch.setattr(shutil, "rmtree", exploding_rmtree)
+        with pytest.raises(OSError):
+            store.gc(keep_runs=0)
+        monkeypatch.undo()
+
+        # the crash window: payload still on disk, manifest gone — the
+        # store must treat that as "no artifact", never "partial one"
+        assert (directory / "value.json").exists()
+        assert not store.has("add", "cc" * 8)
+        with pytest.raises(ArtifactError):
+            store.load(AddStage(), "cc" * 8)
+        assert list(store.iter_artifacts()) == []
+
+        removed, _ = store.gc(keep_runs=0)
+        assert directory in removed
+        assert not directory.exists()
+
+    def test_debris_from_crashed_writer_is_swept(self, tmp_path):
+        store = ArtifactStore(tmp_path)
+        debris = store.objects_dir / "add" / ".deadbeef-tmp123"
+        debris.mkdir(parents=True)
+        (debris / "value.json").write_text("41")
+        removed, freed = store.gc(keep_runs=0)
+        assert debris in removed
+        assert freed > 0
+        assert not debris.exists()

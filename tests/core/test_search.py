@@ -31,6 +31,12 @@ class TestQuery:
         hits = search.query(["purupuru"], top=5)
         assert len(hits) == 5
 
+    def test_top_below_one_rejected(self, search):
+        with pytest.raises(ModelError):
+            search.query(["purupuru"], top=0)
+        with pytest.raises(ModelError):
+            search.similar_recipes(search.recipe_ids[0], top=-2)
+
     def test_scores_descending(self, search):
         hits = search.query(["purupuru"], top=10)
         scores = [h.score for h in hits]

@@ -179,7 +179,6 @@ class TestCacheKey:
             use_log_transform=False,
             point_sigma=0.9,
             inference="vb",
-            n_shards=2,
         )
         config_fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
         assert set(variants) == config_fields

@@ -1,5 +1,7 @@
 """Tests for repro.cli."""
 
+import socket
+
 import pytest
 
 from repro.cli import main
@@ -13,6 +15,30 @@ class TestParsing:
     def test_unknown_command_errors(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["pipeline", "--recipes", "0"],
+            ["figures", "--recipes", "0"],
+            ["run", "--recipes", "0"],
+            ["estimate", "gelatin=5g", "--recipes", "0"],
+            ["search", "purupuru", "--recipes", "0"],
+            ["rules", "--recipes", "0"],
+            ["report", "{tmp}", "--recipes", "0"],
+            ["search", "purupuru", "--recipes", "120", "--top", "0"],
+            ["search", "purupuru", "--recipes", "120", "--top", "-2"],
+        ],
+        ids=lambda argv: f"{argv[0]}{argv[-2]}={argv[-1]}",
+    )
+    def test_count_below_one_is_a_usage_error(self, capsys, tmp_path, argv):
+        argv = [str(tmp_path / "out") if a == "{tmp}" else a for a in argv]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "must be >= 1" in err
+        assert "Traceback" not in err
 
 
 class TestTable1:
@@ -155,30 +181,6 @@ class TestRun:
         assert main(self.ARGS) == 0
         assert "experiment" in capsys.readouterr().out
 
-    def test_sharded_run_fits_single_stream(self, capsys, tmp_path):
-        """``--shards`` shards the data layer only: the fit keeps the
-        ``--kernel`` default and runs single-stream on the merged set,
-        with no shard count in the model config."""
-        import dataclasses
-        import json
-
-        from repro.artifacts.store import ArtifactStore
-        from repro.serve import ModelBundle
-
-        cache = tmp_path / "store"
-        out_path = tmp_path / "manifest.json"
-        code = main(
-            ["run", "--recipes", "120", "--sweeps", "6", "--shards", "2",
-             "--no-w2v-filter", "--cache-dir", str(cache),
-             "--json", str(out_path)]
-        )
-        assert code == 0
-        manifest = json.loads(out_path.read_text())
-        assert manifest["sharded"]["n_shards"] == 2
-        bundle = ModelBundle.load(ArtifactStore(cache))
-        assert bundle.model.config.kernel == "dense"
-        assert "n_shards" not in dataclasses.asdict(bundle.model.config)
-
 
 class TestCache:
     def _populate(self, tmp_path):
@@ -265,6 +267,46 @@ class TestReport:
         assert "wrote" in out
         assert (tmp_path / "out" / "report.txt").exists()
         assert (tmp_path / "out" / "table2a.csv").exists()
+
+
+class TestOutputPaths:
+    """An output the run cannot write fails before the run, in one
+    ``error:`` line, and no "wrote ... to PATH" line claims a file that
+    was never written."""
+
+    RUN = ["run", "--recipes", "120", "--sweeps", "6", "--no-w2v-filter"]
+
+    @pytest.mark.parametrize(
+        "case",
+        ["trace", "profile", "series", "json", "report", "series-interval"],
+    )
+    def test_unusable_output_exits_2_in_one_line(self, capsys, tmp_path, case):
+        missing = tmp_path / "missing" / "out.json"
+        a_file = tmp_path / "a-file"
+        a_file.write_text("")
+        series = tmp_path / "series.json"
+        argv, named = {
+            "trace": ([*self.RUN, "--trace", str(missing)], missing),
+            "profile": ([*self.RUN, "--profile", str(missing)], missing),
+            "series": ([*self.RUN, "--series", str(missing)], missing),
+            "json": ([*self.RUN, "--json", str(missing)], missing),
+            "report": (
+                ["report", str(a_file), "--recipes", "120", "--sweeps", "6"],
+                a_file,
+            ),
+            "series-interval": (
+                [*self.RUN, "--series", str(series), "--series-interval", "0"],
+                None,
+            ),
+        }[case]
+        assert main(argv) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1, lines
+        assert lines[0].startswith("error:")
+        if named is not None:
+            assert str(named) in lines[0]
+        assert not missing.parent.exists()
+        assert not series.exists()
 
 
 class TestTraceCli:
@@ -384,6 +426,39 @@ class TestServeCli:
         )
         assert code == 2
         assert "fold-in-sweeps" in capsys.readouterr().err
+
+
+class TestServePort:
+    @pytest.fixture(scope="class")
+    def store(self, tmp_path_factory):
+        cache = str(tmp_path_factory.mktemp("serve-port") / "store")
+        assert main(
+            ["run", "--recipes", "250", "--sweeps", "20", "--seed", "3",
+             "--cache-dir", cache]
+        ) == 0
+        return cache
+
+    def test_busy_port_exits_2(self, capsys, store):
+        with socket.socket() as holder:
+            holder.bind(("127.0.0.1", 0))
+            holder.listen()
+            port = holder.getsockname()[1]
+            capsys.readouterr()
+            code = main(["serve", "--port", str(port), "--cache-dir", store])
+        assert code == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1, lines
+        assert lines[0].startswith("error:")
+        assert f"127.0.0.1:{port}" in lines[0]
+
+    def test_out_of_range_port_is_a_usage_error(self, capsys, store):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--port", "99999", "--cache-dir", store])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "0..65535" in err
+        assert "Traceback" not in err
 
 
 class TestTraceCliErrors:
