@@ -449,7 +449,7 @@ class CollapsedJointModel:
                     emu_pred.invalidate(k_new)
 
             self.log_likelihoods_.append(
-                word_log_likelihood(docs, counts, alpha, gamma) + gauss_ll
+                word_log_likelihood(kernel.csr, counts, alpha, gamma) + gauss_ll
             )
             if trace_enabled and should_sample(sweep, cfg.n_sweeps):
                 sweep_telemetry(

@@ -384,7 +384,7 @@ class JointTextureTopicModel:
             ).astype(np.int64)
 
             self.log_likelihoods_.append(
-                word_log_likelihood(docs, counts, alpha, gamma)
+                word_log_likelihood(kernel.csr, counts, alpha, gamma)
                 + float(log_gel[np.arange(n_docs), y].sum())
             )
             if trace_enabled and should_sample(sweep, cfg.n_sweeps):

@@ -110,7 +110,7 @@ class LatentDirichletAllocation:
                 else:
                     kernel.sweep(generator)
                 self.log_likelihoods_.append(
-                    word_log_likelihood(docs, counts, alpha, gamma)
+                    word_log_likelihood(kernel.csr, counts, alpha, gamma)
                 )
                 if trace_enabled and should_sample(sweep, cfg.n_sweeps):
                     sweep_telemetry(
@@ -159,19 +159,19 @@ class LatentDirichletAllocation:
 
 
 def word_log_likelihood(
-    docs: Sequence[np.ndarray],
+    csr: CSRTokens,
     counts: TopicCounts,
     alpha: np.ndarray,
     gamma: float,
 ) -> float:
-    """Point estimate of Σ_dn log p(w_dn | θ̂_d, φ̂) for the trace."""
+    """Point estimate of Σ_dn log p(w_dn | θ̂_d, φ̂) for the trace.
+
+    One gather over the kernel's flat tokens: token ``t`` of document
+    ``d`` scores ``θ̂_d · φ̂[:, w_t]``. The RNG never reads this value.
+    """
     v_total = gamma * counts.vocab_size
     phi = (counts.n_kv + gamma) / (counts.n_k[:, None] + v_total)
     theta = (counts.n_dk + alpha) / (counts.n_d[:, None] + alpha.sum())
-    total = 0.0
-    for d, words in enumerate(docs):
-        if len(words) == 0:
-            continue
-        probs = theta[d] @ phi[:, np.asarray(words, dtype=int)]
-        total += float(np.log(np.maximum(probs, 1e-300)).sum())
-    return total
+    doc_of_token = np.repeat(np.arange(csr.n_docs), np.diff(csr.doc_offsets))
+    probs = np.einsum("tk,tk->t", theta[doc_of_token], phi.T[csr.token_words])
+    return float(np.log(np.maximum(probs, 1e-300)).sum())

@@ -15,10 +15,11 @@ Student-t predictive; both are provided.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
-from scipy import stats
+import scipy.linalg
 from scipy.special import gammaln
 
 from repro.core.linalg import guarded_inv, guarded_slogdet, pd_logdet, symmetrize
@@ -103,13 +104,43 @@ def posterior(prior: NormalWishartPrior, data: np.ndarray) -> NormalWishartPrior
     return NormalWishartPrior(mean=mean_c, kappa=kappa_c, dof=dof_c, scale=scale_c)
 
 
+@lru_cache(maxsize=None)
+def _bartlett_slots(dim: int) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """Strict-lower-triangle and diagonal index slots of a ``dim × dim``
+    matrix (``np.tril_indices`` alone costs tens of µs per call)."""
+    return np.tril_indices(dim, k=-1), np.diag_indices(dim)
+
+
+def _wishart(
+    dof: float, scale: np.ndarray, generator: np.random.Generator
+) -> np.ndarray:
+    """Λ ~ W(ν, S) by the Bartlett decomposition Λ = (C A)(C A)ᵀ.
+
+    C is the lower Cholesky factor of S; A is lower triangular with
+    N(0, 1) entries below the diagonal and √χ²(ν − i) on it. The draws,
+    their order and the products are those of ``scipy.stats.wishart.rvs``
+    (one variate), so Λ and the generator state after it are bit-identical
+    to scipy's; only its per-call argument processing is skipped. ν > d − 1
+    is enforced by :class:`NormalWishartPrior`.
+    """
+    dim = scale.shape[0]
+    chol = scipy.linalg.cholesky(scale, lower=True)
+    tril, diag = _bartlett_slots(dim)
+    factor = np.zeros((dim, dim))
+    factor[tril] = generator.normal(size=dim * (dim - 1) // 2)
+    # scipy's shape expression and its ``** 0.5`` on size-1 arrays, so
+    # non-integer ν rounds exactly as there.
+    factor[diag] = np.concatenate(
+        [generator.chisquare(dof - (i + 1) + 1, size=1) ** 0.5 for i in range(dim)]
+    )
+    chol_factor = np.dot(chol, factor)
+    return np.dot(chol_factor, chol_factor.T)
+
+
 def sample(nw: NormalWishartPrior, rng: RngLike = None) -> GaussianParams:
     """Draw (μ, Λ) ~ NW(μ₀, β, ν, S)."""
     generator = ensure_rng(rng)
-    precision = stats.wishart.rvs(
-        df=nw.dof, scale=nw.scale, random_state=generator
-    )
-    precision = np.atleast_2d(precision)
+    precision = _wishart(nw.dof, nw.scale, generator)
     covariance = symmetrize(guarded_inv(nw.kappa * precision))
     mean = generator.multivariate_normal(nw.mean, covariance)
     return GaussianParams(mean=mean, precision=precision)

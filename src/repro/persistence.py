@@ -290,10 +290,15 @@ def corpus_body(corpus: Any) -> dict[str, Any]:
 
 def save_corpus(corpus: Any, path: str | Path) -> Path:
     """Serialise a :class:`~repro.synth.generator.SyntheticCorpus` to
-    gzipped JSON at ``path``."""
+    gzipped JSON at ``path``.
+
+    One ``json.dumps`` call (the C encoder; ``json.dump`` streams through
+    the pure-Python chunk iterator) and a gzip header with ``mtime=0``
+    and no file name, so equal corpora are written as equal bytes.
+    """
     path = Path(path)
-    with gzip.open(path, "wt", encoding="utf-8") as handle:
-        json.dump(corpus_body(corpus), handle)
+    text = json.dumps(corpus_body(corpus))
+    path.write_bytes(gzip.compress(text.encode("utf-8"), mtime=0))
     return path
 
 

@@ -45,16 +45,26 @@ def axis_signals(profile: TextureProfile) -> dict[SensoryAxis, float]:
     return signals
 
 
-def term_score(term: TextureTerm, signals: dict[SensoryAxis, float]) -> float:
-    """Agreement between a term's polarity and the axis signals.
+#: Polarity matrices of recently scored term tuples, keyed by the tuple's
+#: identity (:class:`TextureTerm` is unhashable). Each entry holds its
+#: tuple, so the id cannot be reused while the entry lives; the cache is
+#: emptied before it would hold more than ``_POLARITIES_KEPT`` entries.
+_POLARITIES: dict[int, tuple[tuple[TextureTerm, ...], np.ndarray]] = {}
+_POLARITIES_KEPT = 8
 
-    The product rewards matched sign and intensity: a strongly "hard"
-    term scores high exactly when the hardness signal is strongly
-    positive, and is *penalised* when the dish is measurably soft.
-    """
-    return float(
-        sum(term.polarity_on(axis) * signals[axis] for axis in AXES)
-    )
+
+def polarity_matrix(terms: tuple[TextureTerm, ...]) -> np.ndarray:
+    """The ``(len(terms), 3)`` term polarities in :data:`AXES` order,
+    built once per terms tuple."""
+    entry = _POLARITIES.get(id(terms))
+    if entry is not None and entry[0] is terms:
+        return entry[1]
+    matrix = np.array([term.as_vector() for term in terms], dtype=float)
+    matrix.setflags(write=False)
+    if len(_POLARITIES) >= _POLARITIES_KEPT:
+        _POLARITIES.clear()
+    _POLARITIES[id(terms)] = (terms, matrix)
+    return matrix
 
 
 def term_distribution(
@@ -62,11 +72,22 @@ def term_distribution(
     profile: TextureProfile,
     sharpness: float = DEFAULT_SHARPNESS,
 ) -> np.ndarray:
-    """Softmax sampling distribution over ``terms`` for ``profile``."""
+    """Softmax sampling distribution over ``terms`` for ``profile``.
+
+    A term's score is the agreement between its polarity and the axis
+    signals, Σ_axis polarity · signal: a strongly "hard" term scores
+    high exactly when the hardness signal is strongly positive, and is
+    *penalised* when the dish is measurably soft.
+    """
     if not terms:
         raise ValueError("no terms to score")
     signals = axis_signals(profile)
-    scores = np.array([term_score(t, signals) for t in terms])
+    polarities = polarity_matrix(terms)
+    # Added in the order of a scalar ``sum`` over AXES (0 + h + c + a),
+    # so every score rounds exactly as the per-term form does.
+    scores = np.zeros(len(terms))
+    for column, axis in enumerate(AXES):
+        scores += polarities[:, column] * signals[axis]
     logits = sharpness * scores
     logits -= logits.max()
     weights = np.exp(logits)

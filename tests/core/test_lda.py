@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.core.lda import LDAConfig, LatentDirichletAllocation
+from repro.core.kernels import CSRTokens
+from repro.core.lda import LDAConfig, LatentDirichletAllocation, word_log_likelihood
+from repro.core.state import TopicCounts, initialise_assignments
 from repro.errors import ModelError, NotFittedError
 
 from repro.rng import ensure_rng
@@ -96,3 +98,53 @@ class TestNotFitted:
     def test_top_words_require_fit(self):
         with pytest.raises(NotFittedError):
             LatentDirichletAllocation().top_words(0)
+
+
+def loop_log_likelihood(docs, counts, alpha, gamma):
+    """Oracle: the per-document loop that ``word_log_likelihood`` replaced."""
+    v_total = gamma * counts.vocab_size
+    phi = (counts.n_kv + gamma) / (counts.n_k[:, None] + v_total)
+    theta = (counts.n_dk + alpha) / (counts.n_d[:, None] + alpha.sum())
+    total = 0.0
+    for d, words in enumerate(docs):
+        if len(words) == 0:
+            continue
+        probs = theta[d] @ phi[:, np.asarray(words, dtype=int)]
+        total += float(np.log(np.maximum(probs, 1e-300)).sum())
+    return total
+
+
+class TestWordLogLikelihood:
+    """The one-gather form agrees with the per-document loop to rounding."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_per_document_loop(self, seed):
+        rng = ensure_rng(seed)
+        # ragged documents, about a quarter of them empty
+        docs = [
+            rng.integers(0, 30, size=int(rng.poisson(3.0)) * int(rng.random() > 0.25))
+            for _ in range(200)
+        ]
+        assert any(len(doc) == 0 for doc in docs)
+        counts = TopicCounts(len(docs), 7, 30)
+        initialise_assignments(docs, counts, rng)
+        alpha = np.full(7, 0.5)
+        ours = word_log_likelihood(CSRTokens.from_docs(docs), counts, alpha, 0.1)
+        oracle = loop_log_likelihood(docs, counts, alpha, 0.1)
+        assert ours == pytest.approx(oracle, rel=1e-12, abs=0.0)
+
+    def test_all_empty_corpus_is_zero(self):
+        docs = [np.array([], dtype=np.int64) for _ in range(4)]
+        counts = TopicCounts(len(docs), 3, 5)
+        initialise_assignments(docs, counts, ensure_rng(0))
+        value = word_log_likelihood(CSRTokens.from_docs(docs), counts, np.ones(3), 0.1)
+        assert value == 0.0
+        assert loop_log_likelihood(docs, counts, np.ones(3), 0.1) == 0.0
+
+    def test_fit_trace_matches_loop_at_the_end(self, fitted):
+        """The last trace entry is the loop value on the final counts."""
+        model, docs, _ = fitted
+        counts = model._counts
+        alpha = np.full(model.n_topics, model.config.alpha)
+        oracle = loop_log_likelihood(docs, counts, alpha, model.config.gamma)
+        assert model.log_likelihoods_[-1] == pytest.approx(oracle, rel=1e-12, abs=0.0)

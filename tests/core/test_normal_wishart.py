@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from scipy import stats
 from scipy.special import logsumexp
 
 from repro.core import normal_wishart as nw
-from repro.core.linalg import guarded_inv
+from repro.core.linalg import guarded_inv, symmetrize
 from repro.core.priors import NormalWishartPrior
 from repro.errors import ModelError
+from repro.rng import ensure_rng
 
 
 @pytest.fixture()
@@ -76,6 +78,73 @@ class TestSampling:
             np.linalg.cholesky(params.precision)
 
 
+def scipy_sample(
+    prior: NormalWishartPrior, generator: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Oracle: Λ from ``scipy.stats.wishart.rvs``, then μ as ``nw.sample``
+    draws it."""
+    precision = np.atleast_2d(
+        stats.wishart.rvs(df=prior.dof, scale=prior.scale, random_state=generator)
+    )
+    covariance = symmetrize(guarded_inv(prior.kappa * precision))
+    return precision, generator.multivariate_normal(prior.mean, covariance)
+
+
+def random_prior(dim: int, seed: int) -> NormalWishartPrior:
+    """A random NW prior; odd seeds get a non-integer ν just above d − 1."""
+    gen = ensure_rng(seed)
+    root = gen.normal(size=(dim + 3, dim))
+    dof = (
+        dim - 1 + gen.uniform(0.05, 12.0)
+        if seed % 2
+        else float(dim + gen.integers(1, 40))
+    )
+    return NormalWishartPrior(
+        mean=gen.normal(size=dim),
+        kappa=float(gen.uniform(0.1, 5.0)),
+        dof=dof,
+        scale=root.T @ root / dim + 0.1 * np.eye(dim),
+    )
+
+
+class TestBartlettDraw:
+    """``nw.sample`` runs scipy's Bartlett construction itself: the same
+    draws in the same order, so the stream does not move."""
+
+    @pytest.mark.parametrize("dim", [2, 3, 6])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_scipy_draw_for_draw(self, dim, seed):
+        prior = random_prior(dim, seed)
+        ours_rng = ensure_rng(100 + seed)
+        theirs_rng = ensure_rng(100 + seed)
+        for _ in range(3):
+            ours = nw.sample(prior, ours_rng)
+            precision, mean = scipy_sample(prior, theirs_rng)
+            assert np.array_equal(ours.precision, precision)
+            assert np.array_equal(ours.mean, mean)
+        assert ours_rng.random() == theirs_rng.random()
+
+    def test_one_dimensional_draw(self):
+        prior = NormalWishartPrior(
+            mean=np.zeros(1), kappa=1.0, dof=2.5, scale=np.array([[0.7]])
+        )
+        ours_rng, theirs_rng = ensure_rng(5), ensure_rng(5)
+        ours = nw.sample(prior, ours_rng)
+        precision, mean = scipy_sample(prior, theirs_rng)
+        assert ours.precision.shape == (1, 1)
+        assert np.array_equal(ours.precision, precision)
+        assert np.array_equal(ours.mean, mean)
+
+    def test_mean_precision_is_nu_s(self):
+        """E[Λ] = ν·S, here within 3% over 4,000 draws."""
+        prior = random_prior(3, 4)
+        gen = ensure_rng(7)
+        draws = np.array([nw.sample(prior, gen).precision for _ in range(4000)])
+        expected = prior.dof * prior.scale
+        scale = np.abs(expected).max()
+        assert np.abs(draws.mean(axis=0) - expected).max() < 0.03 * scale
+
+
 class TestExpectedParams:
     def test_expected_precision_is_nu_s(self, prior):
         params = nw.expected_params(prior)
@@ -90,8 +159,6 @@ class TestExpectedParams:
 
 class TestLogDensity:
     def test_matches_scipy(self, rng):
-        from scipy import stats
-
         mean = np.array([1.0, -1.0])
         cov = np.array([[2.0, 0.3], [0.3, 1.0]])
         params = nw.GaussianParams(mean=mean, precision=guarded_inv(cov))

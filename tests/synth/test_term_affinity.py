@@ -3,19 +3,40 @@
 import numpy as np
 import pytest
 
-from repro.lexicon.categories import SensoryAxis
+from repro.lexicon.categories import AXES, SensoryAxis
+from repro.lexicon.term import TextureTerm
 from repro.rheology.attributes import TextureProfile
+from repro.rng import ensure_rng
 from repro.synth.term_affinity import (
+    DEFAULT_SHARPNESS,
     axis_signals,
     crispy_terms,
+    polarity_matrix,
     sample_terms,
     term_distribution,
-    term_score,
 )
 
 HARD = TextureProfile(hardness=6.0, cohesiveness=0.1, adhesiveness=0.1)
 SOFT = TextureProfile(hardness=0.05, cohesiveness=0.3, adhesiveness=0.05)
 STICKY = TextureProfile(hardness=1.2, cohesiveness=0.4, adhesiveness=3.0)
+
+
+def term_score(term: TextureTerm, signals: dict[SensoryAxis, float]) -> float:
+    """Oracle: one term's agreement with the axis signals, as a scalar sum."""
+    return float(sum(term.polarity_on(axis) * signals[axis] for axis in AXES))
+
+
+def scalar_distribution(
+    terms: tuple[TextureTerm, ...],
+    profile: TextureProfile,
+    sharpness: float = DEFAULT_SHARPNESS,
+) -> np.ndarray:
+    """Oracle: the softmax over per-term scalar scores."""
+    signals = axis_signals(profile)
+    logits = sharpness * np.array([term_score(t, signals) for t in terms])
+    logits -= logits.max()
+    weights = np.exp(logits)
+    return weights / weights.sum()
 
 
 class TestSignals:
@@ -35,23 +56,23 @@ class TestSignals:
 
 
 class TestScoring:
+    """Softmax is monotone in the score, so a better-matched term gets
+    more probability mass."""
+
+    @staticmethod
+    def _prefers(dictionary, profile, better, worse):
+        pair = (dictionary[better], dictionary[worse])
+        dist = term_distribution(pair, profile)
+        return dist[0] > dist[1]
+
     def test_matched_term_scores_high(self, dictionary):
-        signals = axis_signals(HARD)
-        assert term_score(dictionary["katai"], signals) > term_score(
-            dictionary["fuwafuwa"], signals
-        )
+        assert self._prefers(dictionary, HARD, "katai", "fuwafuwa")
 
     def test_soft_profile_prefers_soft_terms(self, dictionary):
-        signals = axis_signals(SOFT)
-        assert term_score(dictionary["fuwafuwa"], signals) > term_score(
-            dictionary["katai"], signals
-        )
+        assert self._prefers(dictionary, SOFT, "fuwafuwa", "katai")
 
     def test_sticky_profile_prefers_sticky_terms(self, dictionary):
-        signals = axis_signals(STICKY)
-        assert term_score(dictionary["nettori"], signals) > term_score(
-            dictionary["karat"], signals
-        )
+        assert self._prefers(dictionary, STICKY, "nettori", "karat")
 
 
 class TestDistribution:
@@ -69,6 +90,37 @@ class TestDistribution:
     def test_empty_terms_raise(self):
         with pytest.raises(ValueError):
             term_distribution((), HARD)
+
+    @pytest.mark.parametrize("sharpness", [DEFAULT_SHARPNESS, 3.0, 0.5])
+    def test_matches_scalar_softmax_bit_for_bit(self, dictionary, sharpness):
+        """The polarity-matrix scores add the axes in the scalar sum's
+        order, so the sampling distribution (and every draw from it)
+        is exactly the per-term softmax's."""
+        terms = dictionary.gel_related()
+        gen = ensure_rng(20220501)
+        for hardness, cohesiveness, adhesiveness in zip(
+            gen.lognormal(0.0, 1.2, 200),
+            gen.uniform(0.01, 0.95, 200),
+            gen.lognormal(-1.0, 1.2, 200),
+        ):
+            profile = TextureProfile(
+                hardness=float(hardness),
+                cohesiveness=float(cohesiveness),
+                adhesiveness=float(adhesiveness),
+            )
+            assert np.array_equal(
+                term_distribution(terms, profile, sharpness),
+                scalar_distribution(terms, profile, sharpness),
+            )
+
+    def test_polarity_matrix_built_once_per_tuple(self, dictionary):
+        terms = dictionary.gel_related()
+        matrix = polarity_matrix(terms)
+        assert matrix.shape == (len(terms), len(AXES))
+        assert polarity_matrix(terms) is matrix
+        assert np.array_equal(matrix, [term.as_vector() for term in terms])
+        # a distinct tuple of the same terms gets its own, equal matrix
+        assert np.array_equal(polarity_matrix(dictionary.gel_related()), matrix)
 
 
 class TestSampling:

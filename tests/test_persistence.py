@@ -2,6 +2,7 @@
 
 import json
 import re
+import time
 from pathlib import Path
 
 import numpy as np
@@ -284,6 +285,20 @@ class TestCorpusSerialisation:
         path = save_corpus(tiny_corpus, tmp_path / "corpus.json.gz")
         loaded = load_corpus(path)
         assert loaded.preset_name == tiny_corpus.preset_name
+        assert loaded.recipes == tiny_corpus.recipes
+        assert loaded.truths == tiny_corpus.truths
+
+    def test_equal_corpora_are_equal_bytes(self, tiny_corpus, tmp_path, monkeypatch):
+        """The gzip header carries no wall-clock mtime: two saves of one
+        corpus at different times are byte-equal (the store's payload
+        bytes depend on the inputs only)."""
+        (tmp_path / "first").mkdir()
+        first = save_corpus(tiny_corpus, tmp_path / "first" / "corpus.json.gz")
+        later = time.time() + 3600.0
+        monkeypatch.setattr(time, "time", lambda: later)
+        second = save_corpus(tiny_corpus, tmp_path / "corpus.json.gz")
+        assert first.read_bytes() == second.read_bytes()
+        loaded = load_corpus(second)
         assert loaded.recipes == tiny_corpus.recipes
         assert loaded.truths == tiny_corpus.truths
 
