@@ -22,12 +22,15 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import mul
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.core.kernels import sample_from_cumulative
+from repro.core import normal_wishart as nw
 from repro.core.linkage import TopicLinker
 from repro.corpus.extraction import TextureTermExtractor
 from repro.corpus.features import RecipeFeatures, build_features
@@ -109,31 +112,62 @@ def gibbs_fold_in(
     sweeps after the first third, an estimate of ``p(y=k | w, g) ∝
     p(g | k) · (α + E[n_k | w])``; a pure function of the arguments and
     the ``rng`` state.
+
+    The sweeps run on Python-float K-vectors: a fold-in has a handful of
+    tokens, where one numpy call costs more than the K-loop it replaces.
+    Every draw is an inverse-CDF lookup on sequential cumulative sums,
+    the same arithmetic as :func:`~repro.core.kernels.sample_from_cumulative`
+    on ``np.cumsum``, so the answer and the ``rng`` state it leaves are
+    those of the per-draw numpy loop, bit for bit.
     """
     n_topics = phi.shape[0]
+    last = n_topics - 1
+    n_tokens = token_ids.size
     burn_in = n_sweeps // 3
     gel_weight = np.exp(log_gel - log_gel.max())
-    z = rng.integers(0, n_topics, size=token_ids.size)
-    counts = np.bincount(z, minlength=n_topics).astype(float)
+    gel = gel_weight.tolist()
+    z = rng.integers(0, n_topics, size=n_tokens).tolist()
     # The first sweep resamples y before use; its initial draw stays so
     # seeded answers keep their stream.
     rng.integers(0, n_topics)
-    accumulated = np.zeros(n_topics)
+    # One uniform per draw, consumed in sweep order: y, then each token.
+    uniforms = iter(rng.random(n_sweeps * (1 + n_tokens)).tolist())
+    counts = [0.0] * n_topics
+    for k in z:
+        counts[k] += 1.0
+    columns = phi[:, token_ids].T.tolist()
+    kept: list[list[float]] = []
     for sweep in range(n_sweeps):
         # y | z, g ∝ (α + n_k) · p(g | k), with θ collapsed.
-        y_weights = (alpha + counts) * gel_weight
-        y = sample_from_cumulative(np.cumsum(y_weights), rng.random())
+        base = [alpha + c for c in counts]
+        cumulative = list(accumulate(map(mul, base, gel)))
+        y = bisect_left(cumulative, next(uniforms) * cumulative[-1])
+        y = y if y < last else last
         # z_i | z_-i, y: y contributes one count to the collapsed θ.
-        for i in range(token_ids.size):
-            counts[z[i]] -= 1.0
-            base = alpha + counts
-            base[y] += 1.0
-            weights = base * phi[:, token_ids[i]]
-            z[i] = sample_from_cumulative(np.cumsum(weights), rng.random())
-            counts[z[i]] += 1.0
+        base[y] += 1.0
+        for i, column in enumerate(columns):
+            k = z[i]
+            counts[k] -= 1.0
+            base[k] = alpha + counts[k]
+            if k == y:
+                base[k] += 1.0
+            cumulative = list(accumulate(map(mul, base, column)))
+            k = bisect_left(cumulative, next(uniforms) * cumulative[-1])
+            k = k if k < last else last
+            z[i] = k
+            counts[k] += 1.0
+            base[k] = alpha + counts[k]
+            if k == y:
+                base[k] += 1.0
         if sweep >= burn_in:
-            conditional = (alpha + counts) * gel_weight
-            accumulated += conditional / conditional.sum()
+            kept.append(counts[:])
+    # p(y | z, g) of every kept sweep in one pass; each row sums in the
+    # order of a 1-D ``.sum()`` and the rows add up in sweep order.
+    conditional = (alpha + np.array(kept)) * gel_weight
+    ratios = conditional / conditional.sum(axis=1, keepdims=True)
+    accumulated = np.zeros(n_topics)
+    for row in ratios:
+        accumulated += row
     return accumulated / (n_sweeps - burn_in)
 
 
@@ -235,9 +269,7 @@ class TextureEstimator:
 
     def fold_in(self, features: RecipeFeatures, rng: np.random.Generator) -> np.ndarray:
         """:func:`gibbs_fold_in` of one featurised recipe."""
-        log_gel = np.array(
-            [float(p.log_density(features.gel_log)[0]) for p in self._gel_params]
-        )
+        log_gel = nw.batch_log_density(self._gel_params, features.gel_log)[0]
         return gibbs_fold_in(
             self.phi, self._alpha, log_gel, self.token_ids(features),
             self.config.n_sweeps, rng,

@@ -295,10 +295,12 @@ def save_corpus(corpus: Any, path: str | Path) -> Path:
     One ``json.dumps`` call (the C encoder; ``json.dump`` streams through
     the pure-Python chunk iterator) and a gzip header with ``mtime=0``
     and no file name, so equal corpora are written as equal bytes.
+    Level 6 rather than 9: on a 600-recipe corpus it writes about 5%
+    more bytes in a third of the time.
     """
     path = Path(path)
     text = json.dumps(corpus_body(corpus))
-    path.write_bytes(gzip.compress(text.encode("utf-8"), mtime=0))
+    path.write_bytes(gzip.compress(text.encode("utf-8"), compresslevel=6, mtime=0))
     return path
 
 

@@ -8,12 +8,43 @@ from scipy.special import gammaln, softmax
 
 from repro.core.estimator import TextureEstimator, gibbs_fold_in
 from repro.core.joint_model import JointModelConfig
+from repro.core.kernels import sample_from_cumulative
 from repro.corpus.recipe import Ingredient, Recipe
 from repro.errors import ModelError
 from repro.lexicon.categories import SensoryAxis
 from repro.pipeline.experiment import ExperimentConfig, run_experiment
 from repro.rng import ensure_rng
 from repro.synth.presets import CorpusPreset
+
+
+def oracle_fold_in(phi, alpha, log_gel, token_ids, n_sweeps, rng):
+    """The per-draw numpy loop :func:`gibbs_fold_in` must equal bit for bit.
+
+    One scalar ``rng.random()``, one ``np.cumsum`` and one
+    ``searchsorted`` per draw, and one normalised conditional per kept
+    sweep, added into the running sum as it is made.
+    """
+    n_topics = phi.shape[0]
+    burn_in = n_sweeps // 3
+    gel_weight = np.exp(log_gel - log_gel.max())
+    z = rng.integers(0, n_topics, size=token_ids.size)
+    counts = np.bincount(z, minlength=n_topics).astype(float)
+    rng.integers(0, n_topics)
+    accumulated = np.zeros(n_topics)
+    for sweep in range(n_sweeps):
+        y_weights = (alpha + counts) * gel_weight
+        y = sample_from_cumulative(np.cumsum(y_weights), rng.random())
+        for i in range(token_ids.size):
+            counts[z[i]] -= 1.0
+            base = alpha + counts
+            base[y] += 1.0
+            weights = base * phi[:, token_ids[i]]
+            z[i] = sample_from_cumulative(np.cumsum(weights), rng.random())
+            counts[z[i]] += 1.0
+        if sweep >= burn_in:
+            conditional = (alpha + counts) * gel_weight
+            accumulated += conditional / conditional.sum()
+    return accumulated / (n_sweeps - burn_in)
 
 
 @pytest.fixture(scope="module")
@@ -190,3 +221,53 @@ class TestGibbsFoldIn:
         np.testing.assert_allclose(
             posterior, self.exact(log_gel, tokens), rtol=0, atol=0.02
         )
+
+
+class TestMatchesOracle:
+    """:func:`gibbs_fold_in` against :func:`oracle_fold_in`: the same
+    posterior bits, and the generator left in the same state.
+
+    The gel evidence buries topics under ``exp`` underflow, so some gel
+    weights are exactly 0.0, and ``phi`` has zero entries, so both kinds
+    of cumulative sum have flat steps.
+    """
+
+    N_SWEEPS = (1, 2, 3, 48, 100)  # burn-in 0, 0, 1, 16 and 33
+    N_WORDS = 30
+
+    def assert_same(self, n_topics, n_tokens, n_sweeps, alpha, seed):
+        setup = ensure_rng(seed)
+        phi = setup.dirichlet(np.full(self.N_WORDS, 0.5), size=n_topics)
+        phi[setup.random(phi.shape) < 0.2] = 0.0
+        log_gel = setup.normal(0.0, 2.0, size=n_topics)
+        if seed % 2:
+            log_gel[setup.integers(n_topics)] += 800.0  # one dominant topic
+        else:
+            log_gel[setup.permutation(n_topics)[: n_topics // 2]] -= 800.0
+        assert (np.exp(log_gel - log_gel.max()) == 0.0).any()
+        tokens = setup.integers(0, self.N_WORDS, size=n_tokens)
+        expected_rng, rng = ensure_rng(seed + 1), ensure_rng(seed + 1)
+        expected = oracle_fold_in(phi, alpha, log_gel, tokens, n_sweeps, expected_rng)
+        posterior = gibbs_fold_in(phi, alpha, log_gel, tokens, n_sweeps, rng)
+        assert posterior.dtype == expected.dtype
+        assert np.array_equal(posterior, expected), (n_tokens, n_sweeps, alpha)
+        assert rng.random() == expected_rng.random()
+
+    @pytest.mark.parametrize("n_topics", [3, 6, 10, 14, 50])
+    def test_grid(self, n_topics):
+        """Every token count 0-20, every (sweeps, α) pair, both gel shapes."""
+        alphas = (0.1, 1.0, 50.0 / n_topics)
+        for n_tokens in range(21):
+            for repeat in range(2):
+                self.assert_same(
+                    n_topics,
+                    n_tokens,
+                    self.N_SWEEPS[n_tokens % 5],
+                    alphas[(n_tokens + repeat) % 3],
+                    seed=1000 * n_topics + 2 * n_tokens + repeat,
+                )
+
+    @pytest.mark.parametrize("n_topics", [10, 50])
+    def test_token_cap(self, n_topics):
+        """256 tokens, the most a served request may fold in."""
+        self.assert_same(n_topics, 256, 48, 50.0 / n_topics, seed=n_topics)

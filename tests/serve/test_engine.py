@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.artifacts.store import ArtifactStore
+from repro.core import estimator as estimator_module
+from repro.core import normal_wishart as nw
 from repro.core.estimator import TextureEstimator
 from repro.corpus.recipe import Ingredient, Recipe
 from repro.errors import (
@@ -22,6 +26,7 @@ from repro.serve import (
 )
 from repro.serve.engine import validate_request
 from repro.serve.schemas import TextureRequest
+from tests.core.test_estimator import oracle_fold_in
 
 GELATIN = TextureRequest(
     ingredients=(("gelatin", "10 g"), ("water", "200 ml")),
@@ -163,6 +168,66 @@ class TestOneFoldIn:
         )
         assert estimate.topic == served.topic
         assert estimate.seed == served.seed
+
+
+class TestServedBytes:
+    """The served fold-in answers every body with the bytes of the
+    per-draw numpy loop (:func:`~tests.core.test_estimator.oracle_fold_in`)."""
+
+    INGREDIENTS = (
+        (("gelatin", "10 g"), ("water", "200 ml")),
+        (("kanten", "4 g"), ("water", "300 ml"), ("sugar", "60 g")),
+        (("gelatin", "3 g"), ("juice", "450 ml"), ("sugar", "oosaji 2")),
+        (("agar", "5g"), ("milk", "400 ml")),
+    )
+
+    @staticmethod
+    def bodies(vocabulary):
+        """36 bodies: 0-8 description terms, some with explicit terms."""
+        bodies = []
+        for n_terms in range(9):
+            for i, ingredients in enumerate(TestServedBytes.INGREDIENTS):
+                words = [vocabulary[(n_terms * 5 + i + j) % len(vocabulary)]
+                         for j in range(n_terms)]
+                body = {
+                    "ingredients": [
+                        {"name": name, "quantity": quantity}
+                        for name, quantity in ingredients
+                    ],
+                    "description": " ".join(["hiyashite", *words]),
+                }
+                if i == 3:
+                    body["terms"] = words[:2]
+                bodies.append(json.dumps(body).encode("utf-8"))
+        return bodies
+
+    @pytest.fixture(scope="class")
+    def served(self, bundle):
+        """The served engine (default sweeps) and its parsed requests."""
+        engine = InferenceEngine(bundle)
+        requests = [validate_request(b) for b in self.bodies(engine.vocabulary)]
+        return engine, requests
+
+    def test_bytes_equal_the_oracle_loop(self, served, monkeypatch):
+        engine, requests = served
+        tokens = {
+            engine.estimator.token_ids(engine.features_of(r)).size
+            for r in requests
+        }
+        assert {0, 1} <= tokens and max(tokens) >= 5, tokens
+        shipped = [json.dumps(engine.infer(r).to_dict()) for r in requests]
+        assert {json.loads(b)["status"] for b in shipped} == {"ok", "review"}
+        monkeypatch.setattr(estimator_module, "gibbs_fold_in", oracle_fold_in)
+        oracle = [json.dumps(engine.infer(r).to_dict()) for r in requests]
+        assert shipped == oracle
+
+    def test_batched_gel_density_equals_the_per_topic_loop(self, served):
+        engine, requests = served
+        params = engine.estimator._gel_params
+        for request in requests:
+            gel_log = engine.features_of(request).gel_log
+            loop = np.array([float(p.log_density(gel_log)[0]) for p in params])
+            assert np.array_equal(nw.batch_log_density(params, gel_log)[0], loop)
 
 
 class TestTermProfile:
