@@ -1,9 +1,9 @@
-"""Corpus explorer: the recipe-store and word2vec substrates up close.
+"""Corpus explorer: the recipe corpus and word2vec substrates up close.
 
 Walks the data side of the pipeline without any topic modelling:
-generates a corpus, loads it into the indexed :class:`RecipeStore`, runs
-collection-style queries (as Section IV-A describes collecting gel
-recipes from Cookpad), trains the skip-gram embedding, and shows the
+generates a corpus, runs collection-style queries over its recipes (as
+Section IV-A describes collecting gel recipes from Cookpad), trains the
+skip-gram embedding with the pipeline's own settings, and shows the
 nearest-neighbour structure behind the gel-relatedness filter.
 
 Run:
@@ -14,52 +14,61 @@ from __future__ import annotations
 
 from collections import Counter
 
-from repro import CorpusGenerator, CorpusPreset, RecipeStore, build_dictionary
+from repro import CorpusGenerator, CorpusPreset, build_dictionary
 from repro.corpus.tokenizer import Tokenizer
-from repro.embedding import GelRelatednessFilter, SkipGramConfig
+from repro.embedding import GelRelatednessFilter
+from repro.pipeline.dataset import DEFAULT_W2V_CONFIG
 
 
 def main() -> None:
     print("Generating 2,000 synthetic posted recipes…")
     generator = CorpusGenerator(rng=5)
     corpus = generator.generate(CorpusPreset(name="explorer", n_recipes=2000))
-
-    store = RecipeStore()
-    store.add_all(corpus.recipes)
+    recipes = corpus.recipes
 
     from repro.corpus.stats import CorpusStats, render_stats
 
     print("\n=== corpus statistics ===")
-    print(render_stats(CorpusStats.from_recipes(store)))
+    print(render_stats(CorpusStats.from_recipes(recipes)))
 
-    print(f"\nStore holds {len(store)} recipes.")
-    counts = store.ingredient_counts()
-    print("Gel usage:", {g: counts.get(g, 0) for g in ("gelatin", "kanten", "agar")})
+    print(f"\nCorpus holds {len(recipes)} recipes.")
+    print(
+        "Gel usage:",
+        {
+            g: sum(r.has_ingredient(g) for r in recipes)
+            for g in ("gelatin", "kanten", "agar")
+        },
+    )
 
-    purupuru_recipes = store.with_token("purupuru")
-    print(f"Recipes whose text mentions 'purupuru': {len(purupuru_recipes)}")
-    both = store.with_all_tokens(["purupuru", "gelatin"])
+    tokenizer = Tokenizer()
+    words = [
+        set(tokenizer.tokenize(f"{r.title} {r.description}")) for r in recipes
+    ]
+    purupuru = [w for w in words if "purupuru" in w]
+    print(f"Recipes whose text mentions 'purupuru': {len(purupuru)}")
+    both = [w for w in purupuru if "gelatin" in w]
     print(f"…of which also mention gelatin: {len(both)}")
 
-    mousse_like = store.filter(
-        lambda r: r.has_ingredient("cream") and r.has_ingredient("egg_white")
-    )
+    mousse_like = [
+        r
+        for r in recipes
+        if r.has_ingredient("cream") and r.has_ingredient("egg_white")
+    ]
     print(f"Cream + egg-white (mousse-style) recipes: {len(mousse_like)}")
 
-    dishes = Counter(r.metadata.get("dish", "?") for r in store)
+    dishes = Counter(r.metadata.get("dish", "?") for r in recipes)
     print("Most common dishes:", dishes.most_common(5))
 
     print("\nTraining skip-gram embeddings on sentence units…")
-    tokenizer = Tokenizer()
     sentences = []
-    for recipe in store:
+    for recipe in recipes:
         for part in recipe.description.split("."):
             tokens = tokenizer.tokenize(part)
             if tokens:
                 sentences.append(tokens)
-    gel_filter = GelRelatednessFilter(
-        config=SkipGramConfig(epochs=6, dim=32, min_count=3, window=4)
-    ).fit(sentences, rng=2)
+    gel_filter = GelRelatednessFilter(config=DEFAULT_W2V_CONFIG).fit(
+        sentences, rng=2
+    )
     model = gel_filter.model
     assert model is not None and model.vocab is not None
 

@@ -50,12 +50,6 @@ def main() -> None:
     print("\n=== Topics (Table II(a) analogue) ===")
     print(render_table2a(table2a_rows(result)))
 
-    from repro.pipeline.labels import all_topic_labels
-
-    print("\nAuto-labels:")
-    for topic, label in sorted(all_topic_labels(result).items()):
-        print(f"  topic {topic}: {label}")
-
     print("\n=== Dish assignment (Table II(b) analogue) ===")
     print(render_table2b(table2b_rows(result)))
 

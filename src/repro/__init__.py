@@ -14,7 +14,7 @@ Quickstart::
 Subpackages: :mod:`repro.core` (the joint topic model),
 :mod:`repro.lexicon` (texture dictionary), :mod:`repro.units`
 (quantity normalisation), :mod:`repro.rheology` (instrument + studies),
-:mod:`repro.corpus` (recipe store/features), :mod:`repro.synth`
+:mod:`repro.corpus` (recipe documents/features), :mod:`repro.synth`
 (Cookpad simulator), :mod:`repro.embedding` (word2vec),
 :mod:`repro.eval` (metrics) and :mod:`repro.pipeline` (end-to-end).
 """
@@ -33,7 +33,7 @@ from repro.core.search import TextureSearch
 from repro.core.variational import VariationalConfig, VariationalJointModel
 from repro.eval.rules import RuleMiner
 from repro.persistence import load_model, save_model
-from repro.corpus import Recipe, RecipeStore
+from repro.corpus import Recipe
 from repro.lexicon import TextureDictionary, build_dictionary
 from repro.pipeline import (
     DatasetBuilder,
@@ -66,7 +66,6 @@ __all__ = [
     "TextureDictionary",
     "build_dictionary",
     "Recipe",
-    "RecipeStore",
     "TextureProfile",
     "GelSystemModel",
     "Rheometer",

@@ -35,7 +35,6 @@ _FALLBACK_ERROR_NAMES = frozenset(
         "UnknownTermError",
         "DictionaryError",
         "CorpusError",
-        "StoreError",
         "ModelError",
         "NotFittedError",
         "ConvergenceError",

@@ -194,18 +194,6 @@ class ArtifactStore:
         os.utime(path, (time.time(), time.time()))
         return path
 
-    def read_run_manifest(self, experiment: str) -> dict[str, Any]:
-        """The stored run manifest for one experiment fingerprint."""
-        path = self.runs_dir / f"{experiment}.json"
-        try:
-            with path.open("r", encoding="utf-8") as handle:
-                manifest = json.load(handle)
-        except FileNotFoundError as exc:
-            raise ArtifactError(f"no run manifest for {experiment}") from exc
-        except (OSError, ValueError) as exc:
-            raise ArtifactError(f"corrupt run manifest at {path}") from exc
-        return manifest
-
     def iter_runs(self) -> list[tuple[Path, dict[str, Any]]]:
         """All run manifests, most recently written first."""
         if not self.runs_dir.is_dir():

@@ -268,8 +268,6 @@ class CollapsedJointModel:
         emulsions: np.ndarray,
         vocab_size: int,
         rng: RngLike = None,
-        gel_prior: NormalWishartPrior | None = None,
-        emulsion_prior: NormalWishartPrior | None = None,
     ) -> "CollapsedJointModel":
         """Run the collapsed Gibbs sampler (best of ``n_restarts`` chains)."""
         with trace.span(
@@ -281,14 +279,9 @@ class CollapsedJointModel:
             kernel=self.config.kernel,
         ) as fit_span:
             if self.config.n_restarts > 1:
-                fit_best_chain(
-                    self, docs, gels, emulsions, vocab_size, rng,
-                    gel_prior, emulsion_prior,
-                )
+                fit_best_chain(self, docs, gels, emulsions, vocab_size, rng)
             else:
-                self._fit_single(
-                    docs, gels, emulsions, vocab_size, rng, gel_prior, emulsion_prior
-                )
+                self._fit_single(docs, gels, emulsions, vocab_size, rng)
         self.fit_seconds_ = fit_span.duration_s
         if not self.restart_seconds_:
             self.restart_seconds_ = [self.fit_seconds_]
@@ -301,8 +294,6 @@ class CollapsedJointModel:
         emulsions: np.ndarray,
         vocab_size: int,
         rng: RngLike = None,
-        gel_prior: NormalWishartPrior | None = None,
-        emulsion_prior: NormalWishartPrior | None = None,
     ) -> "CollapsedJointModel":
         cfg = self.config
         generator = ensure_rng(rng)
@@ -312,10 +303,8 @@ class CollapsedJointModel:
         if n_docs == 0:
             raise ModelError("no documents")
         validate_docs(docs, vocab_size)
-        gel_prior = gel_prior or NormalWishartPrior.vague(gels, kappa=cfg.kappa)
-        emulsion_prior = emulsion_prior or NormalWishartPrior.vague(
-            emulsions, kappa=cfg.kappa
-        )
+        gel_prior = NormalWishartPrior.vague(gels, kappa=cfg.kappa)
+        emulsion_prior = NormalWishartPrior.vague(emulsions, kappa=cfg.kappa)
 
         alpha = DirichletPrior(cfg.alpha).vector(cfg.n_topics)
         gamma, v_total = cfg.gamma, cfg.gamma * vocab_size

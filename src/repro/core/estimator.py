@@ -193,11 +193,6 @@ class TextureEstimate:
     status: str         # "ok" when confidence clears the threshold, else "review"
     seed: int           # seed of the fold-in's RNG stream
 
-    @property
-    def top_term(self) -> str:
-        """The single most characteristic texture term."""
-        return self.predicted_terms[0][0] if self.predicted_terms else ""
-
     def expected_rheology(self) -> TextureProfile | None:
         """Mean measured texture over the linked settings (or ``None``)."""
         return mean_rheology(self.linked_settings)

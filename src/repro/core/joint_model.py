@@ -118,15 +118,10 @@ def _chain_task(payload, rng) -> tuple[Any, dict]:
     seconds, final log-likelihood) — a plain dict, so pool workers ship
     it back to the parent instead of dropping it.
     """
-    (
-        model_cls, config, docs, gels, emulsions, vocab_size,
-        gel_prior, emulsion_prior,
-    ) = payload
+    model_cls, config, docs, gels, emulsions, vocab_size = payload
     with trace.span("joint-model.restart", kernel=config.kernel) as restart_span:
         chain = model_cls(config)
-        chain._fit_single(
-            docs, gels, emulsions, vocab_size, rng, gel_prior, emulsion_prior
-        )
+        chain._fit_single(docs, gels, emulsions, vocab_size, rng)
     return chain, restart_telemetry(
         rng,
         restart_span.duration_s,
@@ -143,8 +138,6 @@ def run_chains(
     vocab_size: int,
     n_chains: int,
     rng: RngLike = None,
-    gel_prior: NormalWishartPrior | None = None,
-    emulsion_prior: NormalWishartPrior | None = None,
 ) -> list[tuple[Any, dict]]:
     """Fit ``n_chains`` independent Gibbs chains of ``model_cls``.
 
@@ -159,10 +152,7 @@ def run_chains(
     if n_chains < 1:
         raise ModelError("n_chains must be >= 1")
     single = dataclasses.replace(config, n_restarts=1)
-    payload = (
-        model_cls, single, list(docs), gels, emulsions, vocab_size,
-        gel_prior, emulsion_prior,
-    )
+    payload = (model_cls, single, list(docs), gels, emulsions, vocab_size)
     return run_tasks(
         _chain_task, [payload] * n_chains, rng=rng, workers=config.n_workers
     )
@@ -175,8 +165,6 @@ def fit_best_chain(
     emulsions: np.ndarray,
     vocab_size: int,
     rng: RngLike,
-    gel_prior: NormalWishartPrior | None,
-    emulsion_prior: NormalWishartPrior | None,
 ) -> None:
     """Fit ``model.config.n_restarts`` chains; ``model`` adopts the best.
 
@@ -187,7 +175,7 @@ def fit_best_chain(
     """
     outcomes = run_chains(
         type(model), model.config, docs, gels, emulsions, vocab_size,
-        model.config.n_restarts, rng, gel_prior, emulsion_prior,
+        model.config.n_restarts, rng,
     )
     best, _ = max(outcomes, key=lambda outcome: outcome[0].log_likelihoods_[-1])
     for attr in _CHAIN_STATE:
@@ -241,15 +229,13 @@ class JointTextureTopicModel:
         emulsions: np.ndarray,
         vocab_size: int,
         rng: RngLike = None,
-        gel_prior: NormalWishartPrior | None = None,
-        emulsion_prior: NormalWishartPrior | None = None,
     ) -> "JointTextureTopicModel":
         """Run the Gibbs sampler (best of ``n_restarts`` chains).
 
         ``docs`` are integer word-id arrays (texture-term sequences);
         ``gels`` is (D, 3) and ``emulsions`` (D, 6), both in −log
-        concentration space. Priors default to the empirical-Bayes vague
-        prior of :meth:`NormalWishartPrior.vague`.
+        concentration space. Both Gaussians take the empirical-Bayes
+        vague prior of :meth:`NormalWishartPrior.vague`.
         """
         with trace.span(
             "joint-model.fit",
@@ -260,14 +246,9 @@ class JointTextureTopicModel:
             kernel=self.config.kernel,
         ) as fit_span:
             if self.config.n_restarts > 1:
-                fit_best_chain(
-                    self, docs, gels, emulsions, vocab_size, rng,
-                    gel_prior, emulsion_prior,
-                )
+                fit_best_chain(self, docs, gels, emulsions, vocab_size, rng)
             else:
-                self._fit_single(
-                    docs, gels, emulsions, vocab_size, rng, gel_prior, emulsion_prior
-                )
+                self._fit_single(docs, gels, emulsions, vocab_size, rng)
         self.fit_seconds_ = fit_span.duration_s
         if not self.restart_seconds_:
             self.restart_seconds_ = [self.fit_seconds_]
@@ -280,8 +261,6 @@ class JointTextureTopicModel:
         emulsions: np.ndarray,
         vocab_size: int,
         rng: RngLike = None,
-        gel_prior: NormalWishartPrior | None = None,
-        emulsion_prior: NormalWishartPrior | None = None,
     ) -> "JointTextureTopicModel":
         cfg = self.config
         generator = ensure_rng(rng)
@@ -294,10 +273,8 @@ class JointTextureTopicModel:
             raise ModelError("gels/emulsions must have one row per document")
         validate_docs(docs, vocab_size)
 
-        gel_prior = gel_prior or NormalWishartPrior.vague(gels, kappa=cfg.kappa)
-        emulsion_prior = emulsion_prior or NormalWishartPrior.vague(
-            emulsions, kappa=cfg.kappa
-        )
+        gel_prior = NormalWishartPrior.vague(gels, kappa=cfg.kappa)
+        emulsion_prior = NormalWishartPrior.vague(emulsions, kappa=cfg.kappa)
 
         alpha = DirichletPrior(cfg.alpha).vector(cfg.n_topics)
         gamma, v_total = cfg.gamma, cfg.gamma * vocab_size
@@ -467,8 +444,3 @@ class JointTextureTopicModel:
         """
         self._require_fit()
         return np.exp(-np.asarray(self.gel_means_))
-
-    def emulsion_concentration_means(self) -> np.ndarray:
-        """Topic emulsion means mapped back to concentration ratios."""
-        self._require_fit()
-        return np.exp(-np.asarray(self.emulsion_means_))

@@ -206,8 +206,6 @@ class VariationalJointModel:
         emulsions: np.ndarray,
         vocab_size: int,
         rng: RngLike = None,
-        gel_prior: NormalWishartPrior | None = None,
-        emulsion_prior: NormalWishartPrior | None = None,
     ) -> "VariationalJointModel":
         """Run CAVI to convergence of the ELBO."""
         cfg = self.config
@@ -227,10 +225,8 @@ class VariationalJointModel:
         alpha = DirichletPrior(cfg.alpha).vector(k_range)
         gamma = np.full(vocab_size, cfg.gamma)
 
-        gel_prior = gel_prior or NormalWishartPrior.vague(gels, kappa=cfg.kappa)
-        emulsion_prior = emulsion_prior or NormalWishartPrior.vague(
-            emulsions, kappa=cfg.kappa
-        )
+        gel_prior = NormalWishartPrior.vague(gels, kappa=cfg.kappa)
+        emulsion_prior = NormalWishartPrior.vague(emulsions, kappa=cfg.kappa)
         gel_q = _NWPosterior(gel_prior, k_range)
         emu_q = _NWPosterior(emulsion_prior, k_range)
 

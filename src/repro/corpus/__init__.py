@@ -2,8 +2,6 @@
 
 * :mod:`repro.corpus.recipe` — the :class:`Recipe` / :class:`Ingredient`
   documents;
-* :mod:`repro.corpus.store` — an in-memory document store with inverted
-  indexes, playing the role of the site's searchable recipe database;
 * :mod:`repro.corpus.tokenizer` — description tokenisation;
 * :mod:`repro.corpus.extraction` — texture-term spotting against the
   dictionary;
@@ -17,13 +15,11 @@ from repro.corpus.extraction import TextureTermExtractor
 from repro.corpus.features import RecipeFeatures, build_features
 from repro.corpus.filters import DatasetFilter
 from repro.corpus.recipe import Ingredient, Recipe
-from repro.corpus.store import RecipeStore
 from repro.corpus.tokenizer import Tokenizer
 
 __all__ = [
     "Ingredient",
     "Recipe",
-    "RecipeStore",
     "Tokenizer",
     "TextureTermExtractor",
     "RecipeFeatures",

@@ -27,31 +27,19 @@ UNRELATED_THRESHOLD = 0.10
 class DatasetFilter:
     """The Section IV-A filter chain with rejection accounting."""
 
-    unrelated_threshold: float = UNRELATED_THRESHOLD
-    require_terms: bool = True
-    require_gel: bool = True
     rejected: dict[str, int] = field(
         default_factory=lambda: {"no_terms": 0, "no_gel": 0, "unrelated": 0}
     )
 
     def accept(self, features: RecipeFeatures) -> bool:
         """Whether ``features`` survives the chain (counts rejections)."""
-        if self.require_terms and features.n_terms == 0:
+        if features.n_terms == 0:
             self.rejected["no_terms"] += 1
             return False
-        if self.require_gel and not features.has_gel:
+        if not features.has_gel:
             self.rejected["no_gel"] += 1
             return False
-        if features.unrelated_fraction > self.unrelated_threshold:
+        if features.unrelated_fraction > UNRELATED_THRESHOLD:
             self.rejected["unrelated"] += 1
             return False
         return True
-
-    def apply(self, features_list) -> list[RecipeFeatures]:
-        """Filter a list, in order."""
-        return [f for f in features_list if self.accept(f)]
-
-    @property
-    def total_rejected(self) -> int:
-        """Recipes rejected so far, across all rules."""
-        return sum(self.rejected.values())

@@ -57,10 +57,3 @@ class Recipe:
     def has_ingredient(self, name: str) -> bool:
         """Whether ``name`` appears in the ingredient list."""
         return any(ing.name == name for ing in self.ingredients)
-
-    def quantity_of(self, name: str) -> str:
-        """Quantity string of ``name``; raises ``CorpusError`` if absent."""
-        for ing in self.ingredients:
-            if ing.name == name:
-                return ing.quantity_text
-        raise CorpusError(f"recipe {self.recipe_id!r} has no ingredient {name!r}")

@@ -4,7 +4,7 @@
 word2vec. Then, if similar words to the extracted texture terms include
 ingredient terms unrelated to gel, the texture terms are excluded."
 
-:class:`GelRelatednessFilter` trains (or reuses) a skip-gram model over
+:class:`GelRelatednessFilter` trains a skip-gram model over
 the recipe descriptions and flags every dictionary texture term whose
 top-k neighbourhood contains a gel-unrelated anchor ingredient (nuts,
 granola, biscuits…). The flagged surfaces feed the extractor's exclusion
@@ -70,11 +70,6 @@ class GelRelatednessFilter:
     ) -> "GelRelatednessFilter":
         """Train the underlying skip-gram model on the descriptions."""
         self.model = SkipGramModel(self.config).fit(sentences, rng=rng)
-        return self
-
-    def use_model(self, model: SkipGramModel) -> "GelRelatednessFilter":
-        """Reuse an already-trained embedding."""
-        self.model = model
         return self
 
     def report(self, dictionary: TextureDictionary) -> FilterReport:

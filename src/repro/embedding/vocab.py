@@ -75,11 +75,6 @@ class Vocabulary:
         """Inverse of :meth:`id_of`."""
         return self._tokens[token_id]
 
-    def count_of(self, token: str) -> int:
-        """Corpus frequency of ``token`` (0 when absent)."""
-        token_id = self._token_to_id.get(token)
-        return int(self._counts[token_id]) if token_id is not None else 0
-
     # -- training support --------------------------------------------------
 
     def encode(

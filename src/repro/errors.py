@@ -50,10 +50,6 @@ class CorpusError(ReproError):
     """A recipe or corpus-level invariant was violated."""
 
 
-class StoreError(ReproError):
-    """The recipe store was used incorrectly (duplicate ids, missing ids…)."""
-
-
 class ModelError(ReproError):
     """A topic model was configured or driven incorrectly."""
 

@@ -119,10 +119,6 @@ class RuleMiner:
         rules.sort(key=lambda r: -r.effect_size)
         return rules
 
-    def rules_for_term(self, dataset, term: str) -> list[TextureRule]:
-        """Rules involving one specific term."""
-        return [r for r in self.mine(dataset) if r.term == term]
-
     @staticmethod
     def render(rules: Sequence[TextureRule], limit: int = 20) -> str:
         """Plain-text rule listing."""

@@ -13,7 +13,7 @@ deterministic order (gel families before the crisp/dry families).
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from repro.errors import DictionaryError, UnknownTermError
 from repro.lexicon.base_terms import ALL_BASES
@@ -110,10 +110,6 @@ class TextureDictionary:
         return counts
 
     # -- introspection ------------------------------------------------------
-
-    def category_sizes(self) -> Mapping[TextureCategory, int]:
-        """Number of terms annotated with each category."""
-        return {c: len(self.terms_in_category(c)) for c in TextureCategory}
 
     def subset(self, surfaces: Iterable[str]) -> "TextureDictionary":
         """A dictionary restricted to ``surfaces`` (order preserved)."""

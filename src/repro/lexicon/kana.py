@@ -141,18 +141,3 @@ def to_katakana(romaji: str) -> str:
         chr(ord(ch) + _KATA_OFFSET) if "ぁ" <= ch <= "ゖ" else ch
         for ch in to_hiragana(romaji)
     )
-
-
-def dictionary_kana_index(dictionary) -> dict[str, str]:
-    """katakana surface → romaji surface for every transliterable term.
-
-    Terms whose romanisation cannot be transliterated (none in the
-    shipped dictionary, but custom terms may) are skipped.
-    """
-    index: dict[str, str] = {}
-    for term in dictionary:
-        try:
-            index[to_katakana(term.surface)] = term.surface
-        except ReproError:
-            continue
-    return index

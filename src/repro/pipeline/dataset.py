@@ -17,7 +17,6 @@ paper's "41 texture terms out of 288"), and funnel statistics.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -34,9 +33,8 @@ from repro.errors import CorpusError, UnitConversionError, UnitParseError
 from repro.lexicon.dictionary import TextureDictionary, build_dictionary
 from repro.rng import RngLike, ensure_rng
 
-#: Word2vec settings used for the Section III-A gel-relatedness filter
-#: when a builder is not given an explicit config (also the settings the
-#: staged pipeline fingerprints).
+#: Word2vec settings of the Section III-A gel-relatedness filter (also
+#: the settings the staged pipeline fingerprints).
 DEFAULT_W2V_CONFIG = SkipGramConfig(epochs=6, dim=32, min_count=3, window=4)
 
 
@@ -76,18 +74,13 @@ class DatasetBuilder:
     def __init__(
         self,
         dictionary: TextureDictionary | None = None,
-        tokenizer: Tokenizer | None = None,
         use_w2v_filter: bool = True,
-        w2v_config: SkipGramConfig | None = None,
-        dataset_filter: DatasetFilter | None = None,
         deduplicate: bool = False,
         dedup_threshold: float = 0.85,
     ) -> None:
         self.dictionary = dictionary or build_dictionary()
-        self.tokenizer = tokenizer or Tokenizer()
+        self.tokenizer = Tokenizer()
         self.use_w2v_filter = use_w2v_filter
-        self.w2v_config = w2v_config or DEFAULT_W2V_CONFIG
-        self.dataset_filter = dataset_filter or DatasetFilter()
         #: Drop MinHash near-duplicates before anything else. Off by
         #: default: the synthetic corpus has none, but scraped data does.
         self.deduplicate = deduplicate
@@ -112,7 +105,7 @@ class DatasetBuilder:
         if not self.use_w2v_filter:
             return frozenset()
         sentences = self.sentences_of(recipes)
-        gel_filter = GelRelatednessFilter(config=self.w2v_config)
+        gel_filter = GelRelatednessFilter(config=DEFAULT_W2V_CONFIG)
         gel_filter.fit(sentences, rng=ensure_rng(rng))
         return frozenset(gel_filter.excluded_surfaces(self.dictionary))
 
@@ -161,17 +154,14 @@ class DatasetBuilder:
         """Featurise and filter ``recipes``: the kept features and the
         funnel counts (``unparseable``, ``kept``, ``rejected_*``).
 
-        The rejections are counted on a fresh copy of the builder's
-        filter, so a reused builder reports each build's own funnel
-        instead of a running total.
+        Each build counts its rejections on a fresh filter, so a reused
+        builder reports each build's own funnel instead of a running
+        total.
         """
         extractor = TextureTermExtractor(
             self.dictionary, self.tokenizer, excluded=excluded
         )
-        dataset_filter = dataclasses.replace(
-            self.dataset_filter,
-            rejected=dict.fromkeys(self.dataset_filter.rejected, 0),
-        )
+        dataset_filter = DatasetFilter()
         unparseable = 0
         kept: list[RecipeFeatures] = []
         for recipe in recipes:

@@ -74,22 +74,6 @@ class TextureProfile:
         h, c, a = (float(v) for v in values)
         return cls(hardness=h, cohesiveness=c, adhesiveness=a)
 
-    def relative_error(self, other: "TextureProfile") -> dict[str, float]:
-        """Per-attribute relative error |self−other| / max(|other|, eps).
-
-        Used by the Table I bench to compare simulated against published
-        values without dividing by the zero adhesiveness entries.
-        """
-        eps = 1e-3
-        mine, theirs = self.as_array(), other.as_array()
-        denom = np.maximum(np.abs(theirs), eps)
-        errors = np.abs(mine - theirs) / denom
-        return {
-            "hardness": float(errors[0]),
-            "cohesiveness": float(errors[1]),
-            "adhesiveness": float(errors[2]),
-        }
-
     def __str__(self) -> str:  # pragma: no cover - trivial
         return (
             f"H={self.hardness:.2f}RU "

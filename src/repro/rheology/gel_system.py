@@ -89,11 +89,6 @@ class Composition:
         """Emulsion concentrations in :data:`EMULSION_NAMES` order."""
         return np.array([self.emulsions.get(n, 0.0) for n in EMULSION_NAMES])
 
-    @property
-    def total_gel(self) -> float:
-        """Total gelling-agent mass fraction."""
-        return float(sum(self.gels.values()))
-
 
 # --- per-gel response curves (Table I calibration) -----------------------
 

@@ -44,7 +44,6 @@ from repro.errors import (
     ReproError,
     RheologyError,
     ServeError,
-    StoreError,
     UnitConversionError,
     UnitParseError,
     UnknownIngredientError,
@@ -90,7 +89,6 @@ _STATUS_BY_FAMILY: tuple[tuple[type[ReproError], int], ...] = (
     (ObservabilityError, 500),
     (ParallelError, 500),
     (RheologyError, 500),
-    (StoreError, 500),
 )
 
 

@@ -112,8 +112,3 @@ def physics_of(ingredient: str, strict: bool = False) -> IngredientPhysics:
     if strict:
         raise UnknownIngredientError(ingredient)
     return WATER_EQUIVALENT
-
-
-def known_ingredients() -> tuple[str, ...]:
-    """All ingredient names with explicit physics, in table order."""
-    return tuple(PHYSICS_TABLE)

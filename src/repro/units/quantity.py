@@ -61,13 +61,6 @@ class Quantity:
             raise ValueError(f"amount must be non-negative, got {self.amount}")
 
     @property
-    def grams_direct(self) -> float | None:
-        """Mass in grams when no ingredient knowledge is needed, else ``None``."""
-        if self.unit.kind is UnitKind.MASS:
-            return self.amount * self.unit.factor
-        return None
-
-    @property
     def milliliters(self) -> float | None:
         """Volume in millilitres for volume units, else ``None``."""
         if self.unit.kind is UnitKind.VOLUME:

@@ -177,12 +177,9 @@ class TestRunner:
 
     def test_run_manifest_persisted(self, tmp_path):
         _, manifest = run(tmp_path)
-        stored = ArtifactStore(tmp_path).read_run_manifest(
-            manifest["experiment"]
-        )
+        ((path, stored),) = ArtifactStore(tmp_path).iter_runs()
+        assert path.stem == manifest["experiment"]
         assert stored["stages"].keys() == manifest["stages"].keys()
-        with pytest.raises(ArtifactError):
-            ArtifactStore(tmp_path).read_run_manifest("nope")
 
     def test_describe_run_renders(self, tmp_path):
         _, manifest = run(tmp_path)

@@ -141,11 +141,6 @@ class TestEstimate:
                 >= plain.topic_distribution[best_topic] - 1e-9
             )
 
-    def test_top_term_accessor(self, estimator):
-        r = recipe("t", [("gelatin", "5 g"), ("water", "300 ml")])
-        estimate = estimator.estimate(r)
-        assert estimate.top_term == estimate.predicted_terms[0][0]
-
     def test_expected_rheology_none_when_unlinked(self, estimator):
         # find any estimate with no linked settings, or skip
         r = recipe(

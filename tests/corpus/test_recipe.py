@@ -61,12 +61,5 @@ class TestRecipe:
         assert recipe.has_ingredient("gelatin")
         assert not recipe.has_ingredient("agar")
 
-    def test_quantity_of(self):
-        assert make_recipe().quantity_of("gelatin") == "5 g"
-
-    def test_quantity_of_missing_raises(self):
-        with pytest.raises(CorpusError):
-            make_recipe().quantity_of("agar")
-
     def test_metadata_default_empty(self):
         assert dict(make_recipe().metadata) == {}

@@ -73,9 +73,8 @@ class TestFilterQuality:
     def test_mutual_rule_stricter_than_one_way(
         self, fitted_filter, dictionary_module
     ):
-        one_way = GelRelatednessFilter(mutual=False).use_model(
-            fitted_filter.model
-        )
+        one_way = GelRelatednessFilter(mutual=False)
+        one_way.model = fitted_filter.model
         assert len(one_way.excluded_surfaces(dictionary_module)) >= len(
             fitted_filter.excluded_surfaces(dictionary_module)
         )

@@ -34,11 +34,6 @@ class TestConstruction:
         with pytest.raises(ModelError):
             Vocabulary([["a"]], min_count=5)
 
-    def test_counts(self):
-        vocab = Vocabulary(SENTENCES, min_count=1)
-        assert vocab.count_of("puru") == 4
-        assert vocab.count_of("missing") == 0
-
     def test_id_round_trip(self):
         vocab = Vocabulary(SENTENCES, min_count=1)
         for token in vocab.tokens:

@@ -63,11 +63,6 @@ class TestMiner:
     def test_render_empty(self):
         assert "no rules" in RuleMiner.render([])
 
-    def test_rules_for_term(self, tiny_dataset_module):
-        miner = RuleMiner(min_support=8, min_effect=0.8)
-        for rule in miner.rules_for_term(tiny_dataset_module, "purupuru"):
-            assert rule.term == "purupuru"
-
     def test_min_support_validation(self):
         with pytest.raises(ReproError):
             RuleMiner(min_support=1)

@@ -139,6 +139,38 @@ class TestInvalidation:
         reseeded = run_experiment(tiny_config(seed=98), cache_dir=tmp_path)
         assert reseeded.provenance["hits"] == 0
 
+    def test_w2v_config_is_fingerprinted_and_trained(
+        self, tmp_path, monkeypatch
+    ):
+        """The gel-filter stage fingerprints DEFAULT_W2V_CONFIG and its
+        skip-gram model trains with that same config, so changing the
+        constant refits everything downstream of the corpus."""
+        from repro.embedding import gel_filter as gel_filter_module
+        from repro.pipeline import dataset as dataset_module
+
+        base = run_experiment(tiny_config(), cache_dir=tmp_path)
+        clear_cache()
+        default = dataset_module.DEFAULT_W2V_CONFIG
+        patched = dataclasses.replace(default, epochs=default.epochs + 1)
+        monkeypatch.setattr(dataset_module, "DEFAULT_W2V_CONFIG", patched)
+        trained_with = []
+        skipgram_model = gel_filter_module.SkipGramModel
+
+        def recording_model(config):
+            trained_with.append(config)
+            return skipgram_model(config)
+
+        monkeypatch.setattr(gel_filter_module, "SkipGramModel", recording_model)
+        changed = run_experiment(tiny_config(), cache_dir=tmp_path)
+        assert trained_with == [patched]
+        before, after = base.provenance["stages"], changed.provenance["stages"]
+        corpus_before, corpus_after = before[SYNTH_CORPUS], after[SYNTH_CORPUS]
+        assert corpus_after["hit"]
+        assert corpus_after["fingerprint"] == corpus_before["fingerprint"]
+        for name in (GEL_FILTER, BUILD_DATASET, FIT_MODEL, BUILD_LINKER):
+            assert not after[name]["hit"], name
+            assert after[name]["fingerprint"] != before[name]["fingerprint"]
+
 
 class TestCacheKey:
     def test_every_preset_field_perturbs_the_key(self):

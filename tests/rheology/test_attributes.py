@@ -43,24 +43,6 @@ class TestArrayRoundTrip:
         assert TextureProfile.from_array(p.as_array()) == p
 
 
-class TestRelativeError:
-    def test_identical_is_zero(self):
-        p = TextureProfile(1.0, 0.5, 0.2)
-        err = p.relative_error(p)
-        assert all(v == 0.0 for v in err.values())
-
-    def test_zero_reference_does_not_divide_by_zero(self):
-        a = TextureProfile(1.0, 0.5, 0.1)
-        b = TextureProfile(1.0, 0.5, 0.0)
-        err = a.relative_error(b)
-        assert math.isfinite(err["adhesiveness"])
-
-    def test_symmetric_attributes(self):
-        a = TextureProfile(2.0, 0.5, 0.2)
-        b = TextureProfile(1.0, 0.5, 0.2)
-        assert a.relative_error(b)["hardness"] == pytest.approx(1.0)
-
-
 def test_str_mentions_units():
     assert "RU" in str(TextureProfile(1.0, 0.5, 0.2))
 

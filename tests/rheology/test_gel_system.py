@@ -42,10 +42,6 @@ class TestComposition:
         assert comp.emulsion_vector()[0] == 0.05  # sugar first
         assert comp.emulsion_vector()[4] == 0.5   # milk fifth
 
-    def test_total_gel(self):
-        comp = Composition(gels={"gelatin": 0.01, "agar": 0.02})
-        assert comp.total_gel == pytest.approx(0.03)
-
 
 class TestGelCurves:
     def test_hardness_monotone_gelatin(self, model):

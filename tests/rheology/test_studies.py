@@ -91,4 +91,4 @@ class TestDishes:
     def test_composition_valid(self):
         for dish in DISH_STUDIES:
             comp = dish.composition()
-            assert comp.total_gel == pytest.approx(0.025)
+            assert sum(comp.gels.values()) == pytest.approx(0.025)

@@ -12,7 +12,6 @@ ALL_ERRORS = [
     errors.UnknownTermError,
     errors.DictionaryError,
     errors.CorpusError,
-    errors.StoreError,
     errors.ModelError,
     errors.NotFittedError,
     errors.ConvergenceError,
@@ -57,4 +56,4 @@ def test_not_fitted_is_runtime_error():
 
 def test_catch_all_at_api_boundary():
     with pytest.raises(errors.ReproError):
-        raise errors.StoreError("boom")
+        raise errors.CorpusError("boom")

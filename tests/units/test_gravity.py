@@ -6,7 +6,6 @@ from repro.errors import UnknownIngredientError
 from repro.units.gravity import (
     PHYSICS_TABLE,
     WATER_EQUIVALENT,
-    known_ingredients,
     physics_of,
 )
 
@@ -46,12 +45,6 @@ def test_unknown_lenient_falls_back_to_water():
 def test_unknown_strict_raises():
     with pytest.raises(UnknownIngredientError):
         physics_of("dragonfruit", strict=True)
-
-
-def test_known_ingredients_order_is_stable():
-    names = known_ingredients()
-    assert names[0] == "gelatin"
-    assert len(names) == len(PHYSICS_TABLE)
 
 
 def test_all_gravities_positive():

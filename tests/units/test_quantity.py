@@ -33,14 +33,7 @@ class TestQuantity:
             Quantity(math.nan, Unit.GRAM)
 
     def test_zero_allowed(self):
-        assert Quantity(0.0, Unit.GRAM).grams_direct == 0.0
-
-    def test_grams_direct_for_mass(self):
-        assert Quantity(2.0, Unit.KILOGRAM).grams_direct == 2000.0
-        assert Quantity(5.0, Unit.GRAM).grams_direct == 5.0
-
-    def test_grams_direct_none_for_volume(self):
-        assert Quantity(1.0, Unit.CUP).grams_direct is None
+        assert Quantity(0.0, Unit.GRAM).amount == 0.0
 
     def test_milliliters(self):
         assert Quantity(2.0, Unit.CUP).milliliters == 400.0
