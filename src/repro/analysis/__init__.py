@@ -23,20 +23,13 @@ envelope).
 Usage::
 
     python -m repro.analysis [paths...] [--format json|sarif]
-    repro lint [paths...] [--check-ratchet]
+    repro lint [paths...]
 
-Findings can be silenced per line with ``# repro: noqa[RULE]`` (plus a
-written reason), or accepted wholesale in ``analysis-baseline.json`` so
-only *new* violations fail CI. See ``docs/static-analysis.md``.
+Any finding fails the run. A finding is accepted only by an inline
+``# repro: noqa[RULE] - reason`` on its line; see
+``docs/static-analysis.md``.
 """
 
-from repro.analysis.baseline import (
-    Baseline,
-    RatchetReport,
-    check_ratchet,
-    fingerprint,
-    fingerprint_all,
-)
 from repro.analysis.core import (
     FileContext,
     ImportTable,
@@ -53,21 +46,18 @@ from repro.analysis.runner import (
     render_json,
     render_text,
 )
-from repro.analysis.sarif import render_sarif
+from repro.analysis.sarif import fingerprint, fingerprint_all, render_sarif
 
 __all__ = [
-    "Baseline",
     "FileContext",
     "ImportTable",
     "ProjectContext",
     "RULE_CLASSES",
-    "RatchetReport",
     "Rule",
     "RunResult",
     "SuppressionIndex",
     "Violation",
     "analyze_paths",
-    "check_ratchet",
     "default_rules",
     "discover",
     "fingerprint",

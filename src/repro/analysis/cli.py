@@ -1,9 +1,9 @@
 """Command-line front end: ``python -m repro.analysis`` / ``repro lint``.
 
-Exit codes: 0 — clean (or every finding baselined); 1 — new findings
-(or, under ``--check-ratchet``, a baseline that must shrink); 2 — usage
-or configuration error (missing paths, unreadable baseline, a
-``--write-baseline`` that would grow the ratchet without ``--triage``).
+Exit codes: 0 — clean; 1 — any finding (a rule violation or a file that
+does not parse); 2 — usage error (missing paths, unknown rule codes).
+A finding is accepted only by an inline ``# repro: noqa[RULE] - reason``
+on its line.
 """
 
 from __future__ import annotations
@@ -13,11 +13,6 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from repro.analysis.baseline import (
-    DEFAULT_BASELINE_NAME,
-    Baseline,
-    check_ratchet,
-)
 from repro.analysis.rules import rules_by_code
 from repro.analysis.runner import (
     analyze_paths,
@@ -46,59 +41,15 @@ def configure_parser(parser: argparse.ArgumentParser) -> argparse.ArgumentParser
         help="report format (default: text); sarif emits SARIF 2.1.0",
     )
     parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        default=None,
-        help=(
-            "accepted-debt file; defaults to ./"
-            f"{DEFAULT_BASELINE_NAME} when it exists"
-        ),
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore any baseline file; report and fail on every finding",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help=(
-            "report-only mode: write the current findings to the baseline "
-            "file and exit 0"
-        ),
-    )
-    parser.add_argument(
         "--select",
         metavar="RULES",
         default=None,
         help="comma-separated rule codes to run (default: all)",
     )
     parser.add_argument(
-        "--show-baselined",
-        action="store_true",
-        help="also print findings covered by the baseline (text format)",
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="print every registered rule and exit",
-    )
-    parser.add_argument(
-        "--check-ratchet",
-        action="store_true",
-        help=(
-            "fail (exit 1) if the committed baseline must change: new "
-            "findings outside it, or stale entries whose debt was paid"
-        ),
-    )
-    parser.add_argument(
-        "--triage",
-        metavar="NOTE",
-        default=None,
-        help=(
-            "justification required for a --write-baseline that grows "
-            "the baseline; recorded in the file"
-        ),
     )
     parser.add_argument(
         "--dump-obs-names",
@@ -144,19 +95,6 @@ def _resolve_paths(args: argparse.Namespace) -> list[Path]:
             f"({', '.join(DEFAULT_PATHS)}) exist under the current directory"
         )
     return defaults
-
-
-def _resolve_baseline(args: argparse.Namespace) -> tuple[Baseline | None, Path]:
-    """(baseline or None, path to write to for --write-baseline)."""
-    explicit = args.baseline is not None
-    path = Path(args.baseline) if explicit else Path(DEFAULT_BASELINE_NAME)
-    if args.no_baseline:
-        return None, path
-    if path.exists():
-        return Baseline.load(path), path
-    if explicit and not args.write_baseline:
-        raise FileNotFoundError(f"baseline file not found: {path}")
-    return None, path
 
 
 def _scan_obs_names(paths: Sequence[Path]) -> dict[str, set[str]]:
@@ -249,12 +187,6 @@ def run_from_args(args: argparse.Namespace) -> int:
             else None
         )
         paths = _resolve_paths(args)
-        baseline, baseline_path = _resolve_baseline(args)
-        if args.check_ratchet and baseline is None:
-            raise FileNotFoundError(
-                "--check-ratchet needs a committed baseline "
-                f"(none at {baseline_path})"
-            )
     except (FileNotFoundError, ValueError) as exc:
         print(f"repro.analysis: {exc}", file=sys.stderr)
         return 2
@@ -266,51 +198,17 @@ def run_from_args(args: argparse.Namespace) -> int:
         return _check_obs_names(paths)
 
     try:
-        result = analyze_paths(paths, rules=rules, baseline=baseline)
+        result = analyze_paths(paths, rules=rules)
     except FileNotFoundError as exc:
         print(f"repro.analysis: {exc}", file=sys.stderr)
         return 2
-
-    if args.check_ratchet:
-        assert baseline is not None  # guarded above
-        report = check_ratchet(result.violations, baseline)
-        for line in report.lines():
-            print(line)
-        return 0 if report.ok else 1
-
-    if args.write_baseline:
-        # The ratchet: regenerating a *larger* baseline is refused
-        # unless the growth comes with a written triage note.
-        previous = Baseline.load(baseline_path) if baseline_path.exists() else None
-        if (
-            previous is not None
-            and len(result.violations) > len(previous.entries)
-            and not args.triage
-        ):
-            print(
-                "repro.analysis: baseline would grow from "
-                f"{len(previous.entries)} to {len(result.violations)} "
-                "entries; the baseline is a ratchet and may only shrink. "
-                "Fix the new findings, or pass --triage 'reason' to "
-                "accept them deliberately.",
-                file=sys.stderr,
-            )
-            return 2
-        Baseline.from_violations(result.violations, triage=args.triage).save(
-            baseline_path
-        )
-        print(
-            f"wrote {len(result.violations)} finding(s) to {baseline_path}; "
-            "they are now accepted debt"
-        )
-        return 0
 
     if args.format == "json":
         print(render_json(result))
     elif args.format == "sarif":
         print(render_sarif(result, rules=rules))
     else:
-        print(render_text(result, show_baselined=args.show_baselined))
+        print(render_text(result))
     return 1 if result.failed else 0
 
 

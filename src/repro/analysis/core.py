@@ -19,7 +19,7 @@ Project-wide rules (``project_wide = True``) instead receive a
 (module import graph, per-function call graph, class attribute-access
 index) built once per run — and implement :meth:`Rule.check_project`.
 False positives are expected and cheap either way — that is what the
-suppression comment and the committed baseline are for.
+suppression comment is for.
 """
 
 from __future__ import annotations

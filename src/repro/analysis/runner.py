@@ -7,7 +7,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from repro.analysis.baseline import Baseline, fingerprint_all
 from repro.analysis.core import FileContext, Rule, Violation, relative_posix
 from repro.analysis.graph import ProjectContext
 from repro.analysis.rules import default_rules
@@ -38,38 +37,28 @@ class RunResult:
     """Everything one analyser invocation produced."""
 
     violations: list[Violation] = field(default_factory=list)
-    new_violations: list[Violation] = field(default_factory=list)
     checked_files: int = 0
     parse_failures: list[Violation] = field(default_factory=list)
 
     @property
     def failed(self) -> bool:
-        return bool(self.new_violations) or bool(self.parse_failures)
+        """Any finding fails: a violation or a file that did not parse."""
+        return bool(self.violations) or bool(self.parse_failures)
 
     def summary(self) -> str:
         total = len(self.violations) + len(self.parse_failures)
-        baselined = len(self.violations) - len(self.new_violations)
-        bits = [
-            f"{self.checked_files} file(s) checked",
-            f"{total} finding(s)",
-        ]
-        if baselined:
-            bits.append(f"{baselined} baselined")
-        bits.append(f"{len(self.new_violations) + len(self.parse_failures)} blocking")
-        return ", ".join(bits)
+        return f"{self.checked_files} file(s) checked, {total} finding(s)"
 
 
 def analyze_paths(
     paths: Sequence[Path | str],
     rules: Sequence[Rule] | None = None,
     root: Path | None = None,
-    baseline: Baseline | None = None,
 ) -> RunResult:
     """Run ``rules`` over every Python file under ``paths``.
 
-    Suppressions (``# repro: noqa[...]``) are applied per rule;
-    ``baseline`` then decides which of the surviving violations are
-    *new* (blocking) versus accepted debt. Per-file rules run file by
+    Suppressions (``# repro: noqa[...]``) are applied per rule; every
+    violation that survives them is a finding. Per-file rules run file by
     file; project-wide rules run once afterwards over the
     :class:`~repro.analysis.graph.ProjectContext` built from every file
     that parsed.
@@ -103,42 +92,28 @@ def analyze_paths(
         for rule in project_rules:
             result.violations.extend(rule.run_project(project))
     result.violations.sort(key=Violation.sort_key)
-    chosen = baseline if baseline is not None else Baseline.empty()
-    result.new_violations = chosen.filter_new(result.violations)
     return result
 
 
-def render_text(result: RunResult, show_baselined: bool = False) -> str:
-    """Human-readable report; blocking findings first."""
+def render_text(result: RunResult) -> str:
+    """Human-readable report: parse failures, then findings, then totals."""
     lines: list[str] = []
-    blocking = result.parse_failures + result.new_violations
-    for v in blocking:
+    for v in result.parse_failures + result.violations:
         lines.append(v.format())
         if v.snippet:
             lines.append(f"    {v.snippet}")
-    if show_baselined:
-        new_set = {id(v) for v in result.new_violations}
-        for v in result.violations:
-            if id(v) not in new_set:
-                lines.append(f"{v.format()} (baselined)")
     lines.append(result.summary())
     return "\n".join(lines)
 
 
 def render_json(result: RunResult) -> str:
     """Machine-readable report (one JSON document)."""
-    ordered = sorted(result.violations, key=Violation.sort_key)
-    fps = fingerprint_all(ordered)
-    new_ids = {id(v) for v in result.new_violations}
     payload = {
         "checked_files": result.checked_files,
         "summary": result.summary(),
         "failed": result.failed,
         "parse_failures": [v.to_json() for v in result.parse_failures],
-        "violations": [
-            {**v.to_json(), "fingerprint": fp, "new": id(v) in new_ids}
-            for v, fp in zip(ordered, fps)
-        ],
+        "violations": [v.to_json() for v in result.violations],
     }
     return json.dumps(payload, indent=2)
 

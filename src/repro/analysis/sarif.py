@@ -1,19 +1,17 @@
 """SARIF 2.1.0 export for GitHub code-scanning annotations.
 
 One run object per invocation: the tool section lists every registered
-rule (plus the ``SYNTAX`` pseudo-rule for parse failures), each result
-carries the analyser's stable fingerprint in ``partialFingerprints``
-(so code scanning tracks findings across line drift the same way the
-committed baseline does) and ``baselineState`` distinguishes accepted
-debt (``unchanged``) from blocking findings (``new``).
+rule (plus the ``SYNTAX`` pseudo-rule for parse failures), and each
+finding carries the analyser's stable fingerprint in
+``partialFingerprints``, so code scanning tracks it across line drift.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 from typing import Sequence
 
-from repro.analysis.baseline import fingerprint_all
 from repro.analysis.core import Rule, Violation
 from repro.analysis.rules import default_rules
 from repro.analysis.runner import RunResult
@@ -26,6 +24,37 @@ SARIF_SCHEMA = "https://json.schemastore.org/sarif-2.1.0.json"
 FINGERPRINT_KEY = "reproAnalysis/v1"
 
 _DOC_URI = "docs/static-analysis.md"
+
+
+def fingerprint(violation: Violation, duplicate_index: int = 0) -> str:
+    """Stable identity of a violation across line-number drift.
+
+    ``sha256(rule | path | stripped-line-text | duplicate-index)``: edits
+    elsewhere in the file that shift line numbers keep it, while editing
+    the flagged line itself (or adding a second identical offence)
+    changes it.
+    """
+    payload = "|".join(
+        (
+            violation.rule,
+            violation.path,
+            violation.snippet,
+            str(duplicate_index),
+        )
+    )
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
+
+
+def fingerprint_all(violations: Sequence[Violation]) -> list[str]:
+    """Fingerprints for a batch, disambiguating identical lines."""
+    seen: dict[tuple[str, str, str], int] = {}
+    out: list[str] = []
+    for v in sorted(violations, key=Violation.sort_key):
+        key = (v.rule, v.path, v.snippet)
+        index = seen.get(key, 0)
+        seen[key] = index + 1
+        out.append(fingerprint(v, index))
+    return out
 
 
 def _rule_descriptor(rule: Rule) -> dict[str, object]:
@@ -48,11 +77,7 @@ def _syntax_descriptor() -> dict[str, object]:
     }
 
 
-def _result(
-    violation: Violation,
-    fingerprint: str | None = None,
-    baseline_state: str | None = None,
-) -> dict[str, object]:
+def _result(violation: Violation, fp: str | None = None) -> dict[str, object]:
     region: dict[str, object] = {
         "startLine": violation.line,
         "startColumn": violation.col,
@@ -75,10 +100,8 @@ def _result(
             }
         ],
     }
-    if fingerprint is not None:
-        record["partialFingerprints"] = {FINGERPRINT_KEY: fingerprint}
-    if baseline_state is not None:
-        record["baselineState"] = baseline_state
+    if fp is not None:
+        record["partialFingerprints"] = {FINGERPRINT_KEY: fp}
     return record
 
 
@@ -90,20 +113,11 @@ def render_sarif(
 
     active = tuple(rules) if rules is not None else default_rules()
     ordered = sorted(result.violations, key=Violation.sort_key)
-    fps = fingerprint_all(ordered)
-    new_ids = {id(v) for v in result.new_violations}
     results = [
-        _result(
-            violation,
-            fingerprint=fp,
-            baseline_state="new" if id(violation) in new_ids else "unchanged",
-        )
-        for violation, fp in zip(ordered, fps)
+        _result(violation, fp)
+        for violation, fp in zip(ordered, fingerprint_all(ordered))
     ]
-    results.extend(
-        _result(failure, baseline_state="new")
-        for failure in result.parse_failures
-    )
+    results.extend(_result(failure) for failure in result.parse_failures)
     document = {
         "$schema": SARIF_SCHEMA,
         "version": SARIF_VERSION,

@@ -27,9 +27,6 @@ Commands
     (``summary`` aggregates spans, ``tree`` renders the span forest,
     ``flame`` renders a sampling-profiler artifact as a hot-frame
     table or folded stacks).
-``obs``
-    Inspect observability artifacts (``series`` renders a metric
-    time-series artifact written by ``--series``).
 ``bench``
     Bench trajectory tooling (``check`` fails on cross-run perf
     regressions: median-of-recent rows vs the committed floors).
@@ -40,8 +37,7 @@ Global flags: ``--log-level`` / ``-v`` configure the single ``repro``
 logger; ``--trace`` on ``run`` (or ``$REPRO_TRACE`` for any command)
 exports a span/event trace as JSON lines; ``--profile`` on ``run`` (or
 ``$REPRO_PROFILE`` for any command) writes a sampling-profiler
-artifact; ``--series`` on ``run``/``serve`` writes a metric
-time-series artifact.
+artifact.
 """
 
 from __future__ import annotations
@@ -55,7 +51,6 @@ from typing import Sequence
 from repro.errors import ModelError, ReproError, ServeError
 from repro.obs import log as obs_log
 from repro.obs import profile as obs_profile
-from repro.obs import series as obs_series
 from repro.obs import trace as obs_trace
 from repro.pipeline.experiment import ExperimentConfig, quick_config, run_experiment
 
@@ -160,21 +155,6 @@ def _build_parser() -> argparse.ArgumentParser:
              f"(also enabled for any command via ${obs_profile.PROFILE_ENV}; "
              "render with `repro trace flame`)",
     )
-    run.add_argument(
-        "--series",
-        metavar="PATH",
-        default=None,
-        help="sample the metrics registry periodically and write a "
-             "time-series artifact to PATH (render with "
-             "`repro obs series`)",
-    )
-    run.add_argument(
-        "--series-interval",
-        type=float,
-        default=obs_series.DEFAULT_INTERVAL_S,
-        metavar="SECONDS",
-        help="sampling interval for --series (default: 1.0)",
-    )
     _add_kernel_flag(run)
     _add_cache_flags(run)
 
@@ -232,21 +212,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--fold-in-sweeps", type=int, default=48,
         help="Gibbs fold-in sweeps per request (burn-in is a third)",
     )
-    serve.add_argument(
-        "--series",
-        metavar="PATH",
-        default=None,
-        help="sample the metrics registry while serving and write a "
-             "time-series artifact to PATH on shutdown (p50/p99 "
-             "latency over time via `repro obs series`)",
-    )
-    serve.add_argument(
-        "--series-interval",
-        type=float,
-        default=obs_series.DEFAULT_INTERVAL_S,
-        metavar="SECONDS",
-        help="sampling interval for --series (default: 1.0)",
-    )
 
     trace_cmd = sub.add_parser(
         "trace", help="inspect trace and profile artifacts"
@@ -274,26 +239,6 @@ def _build_parser() -> argparse.ArgumentParser:
     trace_flame.add_argument(
         "--limit", type=int, default=15,
         help="rows in the hot-frame table (default: 15)",
-    )
-
-    obs_cmd = sub.add_parser(
-        "obs", help="inspect observability artifacts"
-    )
-    obs_sub = obs_cmd.add_subparsers(dest="obs_command", required=True)
-    obs_series_cmd = obs_sub.add_parser(
-        "series",
-        help="render a metric time-series artifact (--series)",
-    )
-    obs_series_cmd.add_argument("file", help="series JSON artifact")
-    obs_series_cmd.add_argument(
-        "--metric", default=None,
-        help="one metric to tabulate (default: sparkline per metric)",
-    )
-    obs_series_cmd.add_argument(
-        "--quantile", type=float, action="append", default=None,
-        metavar="Q",
-        help="quantiles for a histogram metric's over-time table "
-             "(repeatable; default: 0.5 and 0.99)",
     )
 
     bench = sub.add_parser(
@@ -791,50 +736,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_obs(args: argparse.Namespace) -> int:
-    report = obs_series.read_series(args.file)
-    if args.metric is None:
-        if not report.names():
-            print("no metrics recorded")
-            return 0
-        for name in report.names():
-            print(report.render(name))
-        return 0
-    name = args.metric
-    if report.kind(name) == "histogram":
-        quantiles = args.quantile if args.quantile else [0.5, 0.99]
-        columns = {
-            q: dict(report.quantile_series(name, q)) for q in quantiles
-        }
-        rate = dict(report.rate_series(name))
-        times = sorted(set().union(rate, *columns.values()))
-        header = "t_offset_s " + " ".join(
-            f"{'p' + format(q * 100, 'g'):>12}" for q in quantiles
-        )
-        print(f"{name} ({len(times)} intervals)")
-        print(header + f" {'obs_per_sec':>12}")
-        t0 = times[0] if times else 0.0
-        for t in times:
-            cells = " ".join(
-                f"{columns[q][t]:>12.6g}" if t in columns[q] else
-                f"{'-':>12}"
-                for q in quantiles
-            )
-            rate_cell = (
-                f"{rate[t]:>12.6g}" if t in rate else f"{'-':>12}"
-            )
-            print(f"{t - t0:>10.1f} {cells} {rate_cell}")
-        return 0
-    print(f"{name}")
-    print(f"{'t_offset_s':>10} {'value':>14}")
-    pairs = report.values(name)
-    t0 = pairs[0][0] if pairs else 0.0
-    for t, value in pairs:
-        cell = f"{value:>14.6g}" if value is not None else f"{'-':>14}"
-        print(f"{t - t0:>10.1f} {cell}")
-    return 0
-
-
 def _cmd_bench(args: argparse.Namespace) -> int:
     from repro.obs import regress
 
@@ -879,14 +780,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     obs_log.configure(level=args.log_level, verbosity=args.verbose)
     # The inspection commands never self-instrument: `repro trace` on a
-    # trace file must not append to it, and `obs`/`bench` are readers.
-    inspecting = args.command in ("trace", "obs", "bench")
+    # trace file must not append to it, and `bench` is a reader.
+    inspecting = args.command in ("trace", "bench")
     trace_path = None if inspecting else _trace_target(args)
     profile_path = None if inspecting else _profile_target(args)
-    series_path = None if inspecting else getattr(args, "series", None)
     tracing = False
     try:
-        for path in (trace_path, profile_path, series_path):
+        for path in (trace_path, profile_path):
             if path is not None:
                 _check_writable(path)
         if trace_path is not None:
@@ -894,13 +794,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             tracing = True
         if profile_path is not None:
             obs_profile.enable(profile_path)
-        if series_path is not None:
-            obs_series.enable(
-                series_path,
-                interval_s=getattr(
-                    args, "series_interval", obs_series.DEFAULT_INTERVAL_S
-                ),
-            )
         if args.command == "lint":
             return _cmd_lint(args)
         if args.command == "table1":
@@ -917,8 +810,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             return _cmd_serve(args)
         if args.command == "trace":
             return _cmd_trace(args)
-        if args.command == "obs":
-            return _cmd_obs(args)
         if args.command == "bench":
             return _cmd_bench(args)
         if args.command == "search":
@@ -936,8 +827,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     finally:
         # disable() returns None when nothing was recording, e.g. when
         # enable() itself failed: then no file was written.
-        if series_path is not None and obs_series.disable() is not None:
-            print(f"wrote metric series to {series_path}", file=sys.stderr)
         if profile_path is not None and obs_profile.disable() is not None:
             print(f"wrote profile to {profile_path}", file=sys.stderr)
         if tracing:

@@ -29,7 +29,7 @@ from repro.core.lda import word_log_likelihood
 from repro.core.priors import DirichletPrior, NormalWishartPrior
 from repro.core.seeding import kmeans_plus_plus
 from repro.core.state import TopicCounts, initialise_assignments, validate_docs
-from repro.core.telemetry import should_sample, sweep_telemetry
+from repro.core.telemetry import sweep_telemetry
 from repro.errors import ModelError, NotFittedError
 from repro.obs import trace
 from repro.rng import RngLike, ensure_rng
@@ -440,7 +440,7 @@ class CollapsedJointModel:
             self.log_likelihoods_.append(
                 word_log_likelihood(kernel.csr, counts, alpha, gamma) + gauss_ll
             )
-            if trace_enabled and should_sample(sweep, cfg.n_sweeps):
+            if trace_enabled:
                 sweep_telemetry(
                     "collapsed",
                     sweep,

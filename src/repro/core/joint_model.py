@@ -35,7 +35,7 @@ from repro.core.lda import word_log_likelihood
 from repro.core.priors import DirichletPrior, NormalWishartPrior
 from repro.core.seeding import kmeans_plus_plus
 from repro.core.state import TopicCounts, initialise_assignments, validate_docs
-from repro.core.telemetry import restart_telemetry, should_sample, sweep_telemetry
+from repro.core.telemetry import restart_telemetry, sweep_telemetry
 from repro.errors import ModelError, NotFittedError
 from repro.obs import trace
 from repro.obs.log import get_logger
@@ -364,7 +364,7 @@ class JointTextureTopicModel:
                 word_log_likelihood(kernel.csr, counts, alpha, gamma)
                 + float(log_gel[np.arange(n_docs), y].sum())
             )
-            if trace_enabled and should_sample(sweep, cfg.n_sweeps):
+            if trace_enabled:
                 sweep_telemetry(
                     "gibbs",
                     sweep,

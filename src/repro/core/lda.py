@@ -17,7 +17,7 @@ import numpy as np
 from repro.core.kernels import KERNEL_CHOICES, CSRTokens, make_kernel
 from repro.core.priors import DirichletPrior
 from repro.core.state import TopicCounts, initialise_assignments, validate_docs
-from repro.core.telemetry import should_sample, sweep_telemetry
+from repro.core.telemetry import sweep_telemetry
 from repro.errors import ModelError, NotFittedError
 from repro.obs import trace
 from repro.rng import RngLike, ensure_rng
@@ -112,7 +112,7 @@ class LatentDirichletAllocation:
                 self.log_likelihoods_.append(
                     word_log_likelihood(kernel.csr, counts, alpha, gamma)
                 )
-                if trace_enabled and should_sample(sweep, cfg.n_sweeps):
+                if trace_enabled:
                     sweep_telemetry(
                         "lda",
                         sweep,

@@ -7,10 +7,9 @@ restart fan-outs — one record per chain with its seed, wall-clock and
 final likelihood. This module is that shape, written once.
 
 The per-sweep helpers are **only called behind a
-:func:`repro.obs.trace.is_enabled` guard** at a configurable sampling
-interval (:func:`should_sample`), so the disabled path of every sampler
-stays allocation-free and bit-identical: telemetry never touches the
-model RNG stream.
+:func:`repro.obs.trace.is_enabled` guard**, once per sweep, so the
+disabled path of every sampler stays allocation-free and bit-identical:
+telemetry never touches the model RNG stream.
 """
 
 from __future__ import annotations
@@ -20,16 +19,6 @@ from typing import Any
 import numpy as np
 
 from repro.obs import metrics, trace
-
-
-def should_sample(sweep: int, n_sweeps: int) -> bool:
-    """Whether sweep ``sweep`` (0-based) emits an event this run.
-
-    Every ``trace.sweep_interval()``-th sweep does, and the final sweep
-    always does, so a trace never ends mid-silence.
-    """
-    every = trace.sweep_interval()
-    return (sweep + 1) % every == 0 or sweep + 1 == n_sweeps
 
 
 def sweep_telemetry(

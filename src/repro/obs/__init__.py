@@ -16,8 +16,6 @@ Zero-dependency substrate the rest of the package reports through:
 * :mod:`repro.obs.profile` — wall-clock sampling profiler (daemon
   thread over ``sys._current_frames``, folded stacks keyed to the
   active span), strictly no-op when disabled;
-* :mod:`repro.obs.series` — periodic registry sampling into bounded
-  ring-buffer time-series artifacts (p50/p99-over-time views);
 * :mod:`repro.obs.prom` — Prometheus text exposition of the registry
   (``/metricz?format=prometheus``) plus a minimal parser;
 * :mod:`repro.obs.regress` — cross-run perf regression detection over
@@ -32,7 +30,7 @@ Enable tracing with ``repro run --trace out.jsonl``, the
     trace.disable()
 """
 
-from repro.obs import metrics, profile, prom, regress, series, trace
+from repro.obs import metrics, profile, prom, regress, trace
 from repro.obs.export import read_trace, validate_record, validate_trace
 from repro.obs.log import configure as configure_logging
 from repro.obs.log import get_logger
@@ -67,7 +65,6 @@ __all__ = [
     "prom",
     "read_trace",
     "regress",
-    "series",
     "registry",
     "render_tree",
     "replay",

@@ -44,9 +44,6 @@ PROFILE_FORMAT = "repro-profile"
 #: profiling to that path for any command when it is set.
 PROFILE_ENV = "REPRO_PROFILE"
 
-#: Environment variable overriding the sampling rate in Hz.
-PROFILE_HZ_ENV = "REPRO_PROFILE_HZ"
-
 #: Default sampling rate. Prime, so periodic work cannot phase-lock.
 DEFAULT_HZ = 97.0
 
@@ -155,8 +152,8 @@ class Profiler:
 
     def _sample(self, own_ident: int) -> None:
         # Telemetry machinery must not pollute the profile: skip our
-        # own thread and the other repro-obs daemons (series recorder),
-        # which spend their lives idling in Condition.wait.
+        # own thread and any other ``repro-`` daemon, which would show
+        # up only as idle waits.
         skip = {own_ident}
         for thread in threading.enumerate():
             if thread.name.startswith("repro-") and thread.ident is not None:
@@ -366,24 +363,8 @@ def active() -> Profiler | None:
     return _profiler
 
 
-def default_hz() -> float:
-    """Sampling rate from :data:`PROFILE_HZ_ENV`, else the default."""
-    raw = os.environ.get(PROFILE_HZ_ENV)
-    if raw is None:
-        return DEFAULT_HZ
-    try:
-        value = float(raw)
-    except ValueError as exc:
-        raise ObservabilityError(
-            f"{PROFILE_HZ_ENV} must be a number, got {raw!r}"
-        ) from exc
-    if value <= 0:
-        raise ObservabilityError(f"{PROFILE_HZ_ENV} must be > 0")
-    return value
-
-
 def enable(
-    path: str | os.PathLike[str] | None = None, hz: float | None = None
+    path: str | os.PathLike[str] | None = None, hz: float = DEFAULT_HZ
 ) -> Profiler:
     """Start a profiler; :func:`disable` writes the artifact to ``path``.
 
@@ -393,7 +374,7 @@ def enable(
     """
     global _profiler, _output_path
     disable()
-    profiler = Profiler(hz=hz if hz is not None else default_hz())
+    profiler = Profiler(hz=hz)
     trace.set_span_tracking(True)
     profiler.start()
     _profiler = profiler

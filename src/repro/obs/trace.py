@@ -39,18 +39,12 @@ from typing import Any, Iterable, Iterator, Mapping, TextIO
 
 from contextlib import contextmanager
 
-from repro.errors import ObservabilityError
-
 #: Schema version stamped into every record (``"v"`` key).
 TRACE_SCHEMA_VERSION = 1
 
 #: Environment variable naming a trace file; the CLI enables tracing to
 #: that path for any command when it is set.
 TRACE_ENV = "REPRO_TRACE"
-
-#: Environment variable overriding the per-sweep event sampling
-#: interval (every Nth sweep emits an event; default 1 = every sweep).
-SWEEP_EVERY_ENV = "REPRO_TRACE_SWEEP_EVERY"
 
 _ids = itertools.count(1)
 _current_span: ContextVar[str | None] = ContextVar("repro_obs_span", default=None)
@@ -111,17 +105,11 @@ class Tracer:
     """
 
     def __init__(
-        self,
-        sink: TextIO | None = None,
-        trace_id: str | None = None,
-        sweep_every: int = 1,
+        self, sink: TextIO | None = None, trace_id: str | None = None
     ) -> None:
-        if sweep_every < 1:
-            raise ObservabilityError("sweep_every must be >= 1")
         self.sink = sink
         self.records: list[dict[str, Any]] = []
         self.trace_id = trace_id or f"{os.getpid():x}-{time.time_ns():x}"
-        self.sweep_every = sweep_every
         self.n_emitted = 0
         self._lock = threading.Lock()
 
@@ -170,29 +158,7 @@ def current_span_id() -> str | None:
     return _current_span.get() if _tracer is not None else None
 
 
-def sweep_interval() -> int:
-    """Per-sweep event sampling interval of the active tracer (1 when
-    disabled, so guards can multiply without special-casing)."""
-    return _tracer.sweep_every if _tracer is not None else 1
-
-
-def _default_sweep_every() -> int:
-    raw = os.environ.get(SWEEP_EVERY_ENV, "1")
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ObservabilityError(
-            f"{SWEEP_EVERY_ENV} must be an integer, got {raw!r}"
-        ) from exc
-    if value < 1:
-        raise ObservabilityError(f"{SWEEP_EVERY_ENV} must be >= 1")
-    return value
-
-
-def enable(
-    target: str | os.PathLike[str] | TextIO | None = None,
-    sweep_every: int | None = None,
-) -> Tracer:
+def enable(target: str | os.PathLike[str] | TextIO | None = None) -> Tracer:
     """Install a tracer writing to ``target`` and return it.
 
     ``target`` may be a path (opened for append; JSONL concatenates
@@ -202,13 +168,12 @@ def enable(
     """
     global _tracer, _owned_handle
     disable()
-    every = sweep_every if sweep_every is not None else _default_sweep_every()
     if target is None or hasattr(target, "write"):
         handle = target
     else:
         handle = open(os.fspath(target), "a", encoding="utf-8")  # noqa: SIM115
         _owned_handle = handle
-    _tracer = Tracer(sink=handle, sweep_every=every)  # type: ignore[arg-type]
+    _tracer = Tracer(sink=handle)  # type: ignore[arg-type]
     return _tracer
 
 
@@ -365,7 +330,7 @@ def event(name: str, **attrs: Any) -> None:
 
 
 @contextmanager
-def capture(sweep_every: int | None = None) -> Iterator[list[dict[str, Any]]]:
+def capture() -> Iterator[list[dict[str, Any]]]:
     """Record spans/events into a list instead of the installed sink.
 
     Used by worker processes (ship records back with the task result —
@@ -374,12 +339,7 @@ def capture(sweep_every: int | None = None) -> Iterator[list[dict[str, Any]]]:
     """
     global _tracer
     previous = _tracer
-    every = (
-        sweep_every
-        if sweep_every is not None
-        else (previous.sweep_every if previous is not None else _default_sweep_every())
-    )
-    buffer = Tracer(sink=None, sweep_every=every)
+    buffer = Tracer(sink=None)
     _tracer = buffer
     try:
         yield buffer.records

@@ -103,7 +103,7 @@ def _run_timed(fn: TaskFn, payload: Any, rng: np.random.Generator) -> Any:
 
 def _guarded(
     fn: TaskFn,
-    capture_sweep_every: int | None,
+    capture_trace: bool,
     submitted_unix: float,
     payload: Any,
     rng: np.random.Generator,
@@ -117,7 +117,7 @@ def _guarded(
     Alongside the ``("ok"|"err", value)`` outcome it ships a telemetry
     dict back to the caller: how long the task waited in the pool queue
     (wall clock since submission — the only clock processes share), how
-    long its body ran, and — when ``capture_sweep_every`` is set (the
+    long its body ran, and — when ``capture_trace`` is set (the
     caller's trace is active) — the span/event records the task
     produced, for the parent to :func:`repro.obs.trace.replay`.
     """
@@ -126,8 +126,8 @@ def _guarded(
     }
     started = time.perf_counter()
     try:
-        if capture_sweep_every is not None:
-            with trace.capture(sweep_every=capture_sweep_every) as records:
+        if capture_trace:
+            with trace.capture() as records:
                 result = fn(payload, rng)
             telemetry["trace"] = records
         else:
@@ -147,8 +147,7 @@ def _run_pooled(
 ) -> list[Any]:
     """Dispatch to a process pool; recompute undelivered tasks serially."""
     outcomes: list[Any] = [_PENDING] * len(payloads)
-    capture_every = trace.sweep_interval() if trace.is_enabled() else None
-    body = functools.partial(_guarded, fn, capture_every, time.time())
+    body = functools.partial(_guarded, fn, trace.is_enabled(), time.time())
     pool: concurrent.futures.Executor | None = None
     try:
         # Pickle the task function here, before any pool exists. Left

@@ -4,5 +4,5 @@ Each module contains exactly one deliberate defect. The tests load
 them through :class:`~repro.analysis.core.FileContext` with a fake
 ``src/repro/...`` relpath so the product-path gating treats them as
 shipped code; under their real ``tests/...`` path the default scan
-skips them, keeping the committed baseline clean.
+skips them, so the default scan stays at zero findings.
 """

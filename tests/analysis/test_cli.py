@@ -9,6 +9,8 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.cli import main
+from repro.analysis.runner import analyze_paths
+from repro.analysis.sarif import fingerprint_all
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -48,32 +50,30 @@ def write_scratch(tmp_path: Path, source: str) -> Path:
 
 def test_clean_file_exits_zero(tmp_path, capsys):
     scratch = write_scratch(tmp_path, "X = 1\n")
-    assert main([str(scratch), "--no-baseline"]) == 0
+    assert main([str(scratch)]) == 0
     assert "0 finding(s)" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("rule", sorted(INJECTIONS))
 def test_injected_violation_fails(rule, tmp_path, capsys):
     scratch = write_scratch(tmp_path, INJECTIONS[rule])
-    assert main([str(scratch), "--no-baseline"]) == 1
+    assert main([str(scratch)]) == 1
     assert rule in capsys.readouterr().out
 
 
 def test_json_format(tmp_path, capsys):
     scratch = write_scratch(tmp_path, INJECTIONS["RNG001"])
-    assert main([str(scratch), "--no-baseline", "--format", "json"]) == 1
+    assert main([str(scratch), "--format", "json"]) == 1
     report = json.loads(capsys.readouterr().out)
     assert report["failed"] is True
     (finding,) = report["violations"]
     assert finding["rule"] == "RNG001"
-    assert finding["new"] is True
-    assert finding["fingerprint"]
 
 
 def test_select_limits_rules(tmp_path):
     scratch = write_scratch(tmp_path, INJECTIONS["RNG001"])
-    assert main([str(scratch), "--no-baseline", "--select", "NUM001"]) == 0
-    assert main([str(scratch), "--no-baseline", "--select", "RNG001"]) == 1
+    assert main([str(scratch), "--select", "NUM001"]) == 0
+    assert main([str(scratch), "--select", "RNG001"]) == 1
 
 
 def test_unknown_rule_is_usage_error(tmp_path, capsys):
@@ -87,39 +87,42 @@ def test_missing_path_is_usage_error(tmp_path, capsys):
     assert "repro.analysis:" in capsys.readouterr().err
 
 
-def test_missing_explicit_baseline_is_usage_error(tmp_path, capsys):
-    scratch = write_scratch(tmp_path, "X = 1\n")
-    missing = tmp_path / "nope.json"
-    assert main([str(scratch), "--baseline", str(missing)]) == 2
-    assert "baseline file not found" in capsys.readouterr().err
-
-
 def test_syntax_error_is_reported_and_fails(tmp_path, capsys):
     scratch = write_scratch(tmp_path, "def broken(:\n")
-    assert main([str(scratch), "--no-baseline"]) == 1
+    assert main([str(scratch)]) == 1
     assert "SYNTAX" in capsys.readouterr().out
 
 
-def test_write_then_pass_with_baseline(tmp_path, capsys):
-    scratch = write_scratch(tmp_path, INJECTIONS["RNG001"])
-    baseline = tmp_path / "baseline.json"
-
-    assert main(
-        [str(scratch), "--baseline", str(baseline), "--write-baseline"]
-    ) == 0
-    assert baseline.exists()
-    capsys.readouterr()
-
-    # accepted debt no longer blocks…
-    assert main([str(scratch), "--baseline", str(baseline)]) == 0
-    assert "baselined" in capsys.readouterr().out
-
-    # …but a new offence alongside it still does.
-    scratch.write_text(
-        scratch.read_text() + "import random\nrandom.seed(1)\n",
+def test_only_an_inline_suppression_accepts_a_finding(
+    tmp_path, monkeypatch, capsys
+):
+    """A findings list in ``analysis-baseline.json`` is not read."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "tests").mkdir()
+    scratch = write_scratch(tmp_path / "tests", INJECTIONS["RNG001"])
+    violations = analyze_paths(["tests"]).violations
+    assert [v.rule for v in violations] == ["RNG001"]
+    entries = [
+        {"rule": v.rule, "path": v.path, "line": v.line,
+         "snippet": v.snippet, "fingerprint": fp}
+        for v, fp in zip(violations, fingerprint_all(violations))
+    ]
+    (tmp_path / "analysis-baseline.json").write_text(
+        json.dumps({"version": 1, "count": len(entries), "entries": entries}),
         encoding="utf-8",
     )
-    assert main([str(scratch), "--baseline", str(baseline)]) == 1
+    assert main([]) == 1
+    assert "RNG001" in capsys.readouterr().out
+
+    scratch.write_text(
+        scratch.read_text().replace(
+            "default_rng(0)",
+            "default_rng(0)  # repro: noqa[RNG001] - fixed reference stream",
+        ),
+        encoding="utf-8",
+    )
+    assert main([]) == 0
+    assert "0 finding(s)" in capsys.readouterr().out
 
 
 def test_list_rules(capsys):
@@ -131,14 +134,14 @@ def test_list_rules(capsys):
 
 def test_shipped_src_tree_is_clean(capsys):
     """Acceptance: ``python -m repro.analysis src/repro`` exits 0."""
-    assert main([str(REPO_ROOT / "src" / "repro"), "--no-baseline"]) == 0
+    assert main([str(REPO_ROOT / "src" / "repro")]) == 0
 
 
-def test_default_paths_pass_with_committed_baseline(monkeypatch, capsys):
-    """tests/ + benchmarks/ debt is fully covered by the baseline."""
+def test_default_paths_pass(monkeypatch, capsys):
+    """src/repro, tests/ and benchmarks/ carry no finding."""
     monkeypatch.chdir(REPO_ROOT)
     assert main([]) == 0
-    assert "0 blocking" in capsys.readouterr().out
+    assert "0 finding(s)" in capsys.readouterr().out
 
 
 def test_dump_obs_names_prints_registry_sets(capsys):

@@ -9,7 +9,6 @@ import ast
 import textwrap
 from pathlib import Path
 
-from repro.analysis.baseline import fingerprint_all
 from repro.analysis.core import FileContext
 from repro.analysis.graph import ProjectContext
 from repro.analysis.rules.determinism import FingerprintPurityRule
@@ -17,6 +16,7 @@ from repro.analysis.rules.envelope import ErrorEnvelopeRule
 from repro.analysis.rules.obs import ObservabilityNameRule
 from repro.analysis.rules.rng import KernelRngRule
 from repro.analysis.rules.threading import LockDisciplineRule
+from repro.analysis.sarif import fingerprint_all
 
 FIXTURES = Path(__file__).parent / "fixtures"
 

@@ -1,13 +1,19 @@
-"""Tests for the SARIF 2.1.0 exporter."""
+"""Tests for the SARIF 2.1.0 exporter and its finding fingerprints."""
 
 import json
 
 import pytest
 
-from repro.analysis.baseline import Baseline
 from repro.analysis.cli import main
+from repro.analysis.core import Violation
 from repro.analysis.runner import analyze_paths
-from repro.analysis.sarif import FINGERPRINT_KEY, SARIF_VERSION, render_sarif
+from repro.analysis.sarif import (
+    FINGERPRINT_KEY,
+    SARIF_VERSION,
+    fingerprint,
+    fingerprint_all,
+    render_sarif,
+)
 
 BAD_SOURCE = """\
 import numpy as np
@@ -25,10 +31,26 @@ def bad_tree(tmp_path, monkeypatch):
     return tmp_path
 
 
-def render(bad_tree, baseline=None):
-    result = analyze_paths(["bad.py"], baseline=baseline)
+def render(bad_tree):
+    result = analyze_paths(["bad.py"])
     assert result.violations, "fixture must produce at least one finding"
     return result, json.loads(render_sarif(result))
+
+
+def make_violation(
+    rule: str = "RNG001",
+    path: str = "tests/test_x.py",
+    line: int = 10,
+    snippet: str = "rng = np.random.default_rng(0)",
+) -> Violation:
+    return Violation(
+        rule=rule,
+        path=path,
+        line=line,
+        col=7,
+        message="direct RNG construction",
+        snippet=snippet,
+    )
 
 
 class TestDocumentShape:
@@ -74,19 +96,6 @@ class TestResults:
         fp = first["partialFingerprints"][FINGERPRINT_KEY]
         assert len(fp) == 16
 
-    def test_baseline_state_marks_known_findings(self, bad_tree):
-        result, _ = render(bad_tree)
-        baseline = Baseline.from_violations(result.violations)
-        baselined_result = analyze_paths(["bad.py"], baseline=baseline)
-        doc = json.loads(render_sarif(baselined_result))
-        states = [r["baselineState"] for r in doc["runs"][0]["results"]]
-        assert states == ["unchanged"] * len(states)
-
-    def test_new_findings_marked_new(self, bad_tree):
-        _, doc = render(bad_tree)
-        states = [r["baselineState"] for r in doc["runs"][0]["results"]]
-        assert "new" in states
-
     def test_severity_maps_to_sarif_level(self, bad_tree):
         _, doc = render(bad_tree)
         for res in doc["runs"][0]["results"]:
@@ -98,13 +107,29 @@ class TestResults:
         doc = json.loads(render_sarif(result))
         (res,) = doc["runs"][0]["results"]
         assert res["ruleId"] == "SYNTAX"
-        assert res["baselineState"] == "new"
 
 
 class TestCli:
     def test_format_sarif_prints_valid_json(self, bad_tree, capsys):
-        exit_code = main(["bad.py", "--no-baseline", "--format", "sarif"])
+        exit_code = main(["bad.py", "--format", "sarif"])
         doc = json.loads(capsys.readouterr().out)
         assert exit_code == 1  # findings still gate the exit code
         assert doc["version"] == "2.1.0"
         assert doc["runs"][0]["results"]
+
+
+class TestFingerprint:
+    def test_stable_across_line_drift(self):
+        a = make_violation(line=10)
+        b = make_violation(line=99)  # same line text, moved by edits above
+        assert fingerprint(a) == fingerprint(b)
+
+    def test_changes_with_snippet(self):
+        a = make_violation()
+        b = make_violation(snippet="rng = np.random.default_rng(1)")
+        assert fingerprint(a) != fingerprint(b)
+
+    def test_all_disambiguates_duplicates(self):
+        twins = [make_violation(line=10), make_violation(line=20)]
+        fps = fingerprint_all(twins)
+        assert len(set(fps)) == 2

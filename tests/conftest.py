@@ -7,7 +7,6 @@ only read them.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.core.joint_model import JointModelConfig, JointTextureTopicModel

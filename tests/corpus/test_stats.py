@@ -4,7 +4,6 @@ import pytest
 
 from repro.corpus.stats import (
     CorpusStats,
-    DatasetStats,
     dataset_stats,
     render_stats,
     zipf_slope,

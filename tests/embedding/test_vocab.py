@@ -1,6 +1,5 @@
 """Tests for repro.embedding.vocab."""
 
-import numpy as np
 import pytest
 
 from repro.embedding.vocab import Vocabulary

@@ -17,7 +17,6 @@ tier-1 must not depend on machine speed.
 import threading
 import time
 
-import numpy as np
 import pytest
 
 from repro.core.joint_model import JointModelConfig, JointTextureTopicModel
@@ -115,5 +114,4 @@ def test_disabled_profiler_overhead_below_five_percent():
 def test_disabled_profiler_runs_no_thread_and_no_tracking():
     names = {t.name for t in threading.enumerate()}
     assert "repro-profiler" not in names
-    assert "repro-series" not in names
     assert not trace._thread_spans

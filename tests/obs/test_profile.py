@@ -275,16 +275,6 @@ class TestModuleApi:
         with pytest.raises(ObservabilityError, match="not valid JSON"):
             profile.read_report(path)
 
-    def test_default_hz_env(self, monkeypatch):
-        monkeypatch.setenv(profile.PROFILE_HZ_ENV, "53")
-        assert profile.default_hz() == 53.0
-        monkeypatch.setenv(profile.PROFILE_HZ_ENV, "zero")
-        with pytest.raises(ObservabilityError):
-            profile.default_hz()
-        monkeypatch.setenv(profile.PROFILE_HZ_ENV, "-1")
-        with pytest.raises(ObservabilityError):
-            profile.default_hz()
-
 
 def _fit_corpus():
     rng = ensure_rng(7)

@@ -35,9 +35,6 @@ class TestDisabledPath:
     def test_disabled_event_is_a_no_op(self):
         trace.event("sweep", sweep=3)  # must not raise nor emit
 
-    def test_sweep_interval_is_one_when_disabled(self):
-        assert trace.sweep_interval() == 1
-
     def test_disabled_span_swallows_nothing(self):
         with pytest.raises(ValueError):
             with trace.span("boom"):
@@ -216,20 +213,6 @@ class TestCaptureReplay:
 
 
 class TestConfiguration:
-    def test_sweep_every_env(self, monkeypatch):
-        monkeypatch.setenv(trace.SWEEP_EVERY_ENV, "5")
-        tracer = trace.enable(None)
-        assert tracer.sweep_every == 5
-        assert trace.sweep_interval() == 5
-
-    def test_bad_sweep_every_rejected(self, monkeypatch):
-        monkeypatch.setenv(trace.SWEEP_EVERY_ENV, "zero")
-        with pytest.raises(ObservabilityError):
-            trace.enable(None)
-        monkeypatch.setenv(trace.SWEEP_EVERY_ENV, "0")
-        with pytest.raises(ObservabilityError):
-            trace.enable(None)
-
     def test_enable_stream_sink(self):
         buffer = io.StringIO()
         trace.enable(buffer)

@@ -124,15 +124,3 @@ class TestTracedPipeline:
             assert np.array_equal(
                 getattr(untraced.model, name), getattr(traced.model, name)
             )
-
-    def test_sweep_sampling_interval_thins_events(self, tmp_path):
-        trace_path = tmp_path / "trace.jsonl"
-        trace.enable(trace_path, sweep_every=5)
-        run_experiment(tiny_config())
-        trace.disable()
-        sweeps = [
-            r for r in read_trace(trace_path)
-            if r["kind"] == "event" and r["name"] == "sweep"
-        ]
-        # sweeps 5, 10 and the final sweep 12 (always emitted)
-        assert [s["attrs"]["sweep"] for s in sweeps] == [4, 9, 11]

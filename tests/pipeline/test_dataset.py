@@ -1,6 +1,5 @@
 """Tests for repro.pipeline.dataset."""
 
-import numpy as np
 import pytest
 
 from repro.corpus.recipe import Ingredient, Recipe

@@ -1,6 +1,5 @@
 """Tests for repro.synth.ingredients."""
 
-import numpy as np
 import pytest
 
 from repro.synth.ingredients import (

@@ -1,7 +1,5 @@
 """Tests for repro.synth.templates."""
 
-import numpy as np
-
 from repro.corpus.tokenizer import Tokenizer
 from repro.synth import templates
 

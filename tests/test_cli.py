@@ -276,37 +276,26 @@ class TestOutputPaths:
 
     RUN = ["run", "--recipes", "120", "--sweeps", "6", "--no-w2v-filter"]
 
-    @pytest.mark.parametrize(
-        "case",
-        ["trace", "profile", "series", "json", "report", "series-interval"],
-    )
+    @pytest.mark.parametrize("case", ["trace", "profile", "json", "report"])
     def test_unusable_output_exits_2_in_one_line(self, capsys, tmp_path, case):
         missing = tmp_path / "missing" / "out.json"
         a_file = tmp_path / "a-file"
         a_file.write_text("")
-        series = tmp_path / "series.json"
         argv, named = {
             "trace": ([*self.RUN, "--trace", str(missing)], missing),
             "profile": ([*self.RUN, "--profile", str(missing)], missing),
-            "series": ([*self.RUN, "--series", str(missing)], missing),
             "json": ([*self.RUN, "--json", str(missing)], missing),
             "report": (
                 ["report", str(a_file), "--recipes", "120", "--sweeps", "6"],
                 a_file,
-            ),
-            "series-interval": (
-                [*self.RUN, "--series", str(series), "--series-interval", "0"],
-                None,
             ),
         }[case]
         assert main(argv) == 2
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1, lines
         assert lines[0].startswith("error:")
-        if named is not None:
-            assert str(named) in lines[0]
+        assert str(named) in lines[0]
         assert not missing.parent.exists()
-        assert not series.exists()
 
 
 class TestTraceCli:
@@ -513,59 +502,12 @@ class TestProfileCli:
         assert main(["trace", "flame", str(tmp_path / "none.json")]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
-    def test_flame_rejects_series_artifact(self, capsys, tmp_path):
-        series_file = tmp_path / "series.json"
-        assert main(
-            [*self.ARGS, "--series", str(series_file),
-             "--series-interval", "0.05"]
-        ) == 0
+    def test_flame_rejects_run_manifest(self, capsys, tmp_path):
+        manifest = tmp_path / "run.json"
+        assert main([*self.ARGS, "--json", str(manifest)]) == 0
         capsys.readouterr()
-        assert main(["trace", "flame", str(series_file)]) == 2
+        assert main(["trace", "flame", str(manifest)]) == 2
         assert "not a profile artifact" in capsys.readouterr().err
-
-
-class TestObsCli:
-    ARGS = ["run", "--recipes", "250", "--sweeps", "20", "--seed", "3"]
-
-    def _series_file(self, tmp_path, capsys):
-        series_file = tmp_path / "series.json"
-        assert main(
-            [*self.ARGS, "--series", str(series_file),
-             "--series-interval", "0.05"]
-        ) == 0
-        captured = capsys.readouterr()
-        assert f"wrote metric series to {series_file}" in captured.err
-        assert series_file.exists()
-        return series_file
-
-    def test_series_sparkline_view(self, capsys, tmp_path):
-        series_file = self._series_file(tmp_path, capsys)
-        assert main(["obs", "series", str(series_file)]) == 0
-        out = capsys.readouterr().out
-        assert out.strip()  # one sparkline per recorded metric
-
-    def test_series_single_metric_view(self, capsys, tmp_path):
-        series_file = self._series_file(tmp_path, capsys)
-        from repro.obs.series import read_series
-
-        report = read_series(series_file)
-        names = report.names()
-        assert names, "a run must record at least one metric"
-        name = names[0]
-        assert main(["obs", "series", str(series_file), "--metric", name]) == 0
-        out = capsys.readouterr().out
-        assert name in out
-
-    def test_series_missing_file_exits_2(self, capsys, tmp_path):
-        assert main(["obs", "series", str(tmp_path / "none.json")]) == 2
-        assert capsys.readouterr().err.startswith("error:")
-
-    def test_series_unknown_metric_exits_2(self, capsys, tmp_path):
-        series_file = self._series_file(tmp_path, capsys)
-        assert main(
-            ["obs", "series", str(series_file), "--metric", "no.such"]
-        ) == 2
-        assert "no series for metric" in capsys.readouterr().err
 
 
 class TestBenchCli:
