@@ -26,14 +26,16 @@ Run modes:
   requests, plus the throughput-floor assertion (fails on a >30%
   regression below ``serve_floor.json``).
 
-The request mix cycles through distinct gel compositions so per-request
-seeds differ (each request hashes its own content into an RNG stream);
-throughput therefore reflects genuinely independent fold-in passes, not
-one hot cache line.
+Every request body is distinct: the mix cycles through four gel
+compositions and steps the gel by 0.01 g each cycle (see
+:func:`request_body`). Each request therefore hashes its own content
+into an RNG stream and misses the server's answer cache, so throughput
+reflects genuinely independent fold-in passes, not cached answers.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import os
 import threading
@@ -63,7 +65,7 @@ N_FIT_SWEEPS = 20 if _TINY else 60
 TRAJECTORY_PATH = REPO_ROOT / "BENCH_serve.json"
 FLOOR_PATH = REPO_ROOT / "benchmarks" / "serve_floor.json"
 
-#: Distinct gel compositions: every request body hashes to its own seed.
+#: The gel compositions the request mix cycles through.
 REQUEST_BODIES = [
     {
         "ingredients": [
@@ -97,6 +99,17 @@ REQUEST_BODIES = [
 ]
 
 
+def request_body(index: int) -> bytes:
+    """Request ``index`` of the mix: composition ``index % 4`` with its
+    first (gel) ingredient stepped by 0.01 g per cycle, so no two
+    requests of a run share a body."""
+    body = copy.deepcopy(REQUEST_BODIES[index % len(REQUEST_BODIES)])
+    gel = body["ingredients"][0]
+    grams = float(gel["quantity"].split()[0])
+    gel["quantity"] = f"{grams + 0.01 * (index // len(REQUEST_BODIES)):.2f} g"
+    return json.dumps(body).encode("utf-8")
+
+
 def build_engine() -> InferenceEngine:
     """A warm engine over the bench-preset fitted pipeline."""
     result = run_experiment(
@@ -114,7 +127,7 @@ def _client(
 ) -> None:
     """One load-generator thread: POST its share of the request mix."""
     for index in indices:
-        data = bodies[index % len(bodies)]
+        data = bodies[index]
         request = urllib.request.Request(
             f"{base_url}/v1/texture",
             data=data,
@@ -150,9 +163,7 @@ def measure(
     thread = run_server(server)
     host, port = server.server_address[:2]
     base_url = f"http://{host}:{port}"
-    bodies = [
-        json.dumps(body).encode("utf-8") for body in REQUEST_BODIES
-    ]
+    bodies = [request_body(index) for index in range(n_requests)]
     batch_hist = metrics.registry.histogram("serve.batch_size")
     count_before, total_before = batch_hist.count, batch_hist.total
 

@@ -137,7 +137,12 @@ def gibbs_fold_in(
         counts[k] += 1.0
     columns = phi[:, token_ids].T.tolist()
     kept: list[list[float]] = []
-    for sweep in range(n_sweeps):
+    if not n_tokens:
+        # Only token draws read y: with no tokens every kept sweep holds
+        # the all-zero counts, so the sweeps are skipped. Their uniforms
+        # were drawn above, so the rng is left where the sweeps leave it.
+        kept = [counts] * (n_sweeps - burn_in)
+    for sweep in range(n_sweeps if n_tokens else 0):
         # y | z, g ∝ (α + n_k) · p(g | k), with θ collapsed.
         base = [alpha + c for c in counts]
         cumulative = list(accumulate(map(mul, base, gel)))
@@ -231,7 +236,8 @@ class TextureEstimator:
         self.phi = np.asarray(model.phi_, dtype=float)
         self._alpha = float(getattr(model.config, "alpha", 1.0))
         linker: TopicLinker = result.linker
-        self._gel_params = linker.gel_params()
+        #: The floored gel Gaussians, stacked once for every fold-in.
+        self._gel = nw.GaussianStack.of(linker.gel_params())
         by_id = {s.data_id: s for s in TABLE_I}
         #: Topic -> its KL-linked Table I settings.
         self.linked: dict[int, tuple[EmpiricalSetting, ...]] = {
@@ -264,7 +270,7 @@ class TextureEstimator:
 
     def fold_in(self, features: RecipeFeatures, rng: np.random.Generator) -> np.ndarray:
         """:func:`gibbs_fold_in` of one featurised recipe."""
-        log_gel = nw.batch_log_density(self._gel_params, features.gel_log)[0]
+        log_gel = self._gel.log_density(features.gel_log)[0]
         return gibbs_fold_in(
             self.phi, self._alpha, log_gel, self.token_ids(features),
             self.config.n_sweeps, rng,

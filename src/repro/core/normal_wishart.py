@@ -56,25 +56,54 @@ class GaussianParams:
         return guarded_inv(self.precision)
 
 
+@dataclass(frozen=True)
+class GaussianStack:
+    """K Gaussians stacked for batched evaluation: means ``(K, d)``,
+    precisions ``(K, d, d)`` and their log-determinants ``(K,)``.
+
+    Stacking and the K log-determinants are the part of
+    :func:`batch_log_density` that does not depend on ``x``; a caller
+    that scores many vectors against fixed Gaussians (the fold-in's gel
+    topics) stacks once and calls :meth:`log_density` per vector.
+    """
+
+    means: np.ndarray
+    precisions: np.ndarray
+    logdets: np.ndarray
+
+    @classmethod
+    def of(cls, params: Sequence[GaussianParams]) -> "GaussianStack":
+        """Stack ``params``, with one batched ``slogdet`` for all K."""
+        precisions = np.stack([p.precision for p in params])
+        return cls(
+            means=np.stack([p.mean for p in params]),
+            precisions=precisions,
+            logdets=pd_logdet(precisions, "precision matrix"),
+        )
+
+    def log_density(self, x: np.ndarray) -> np.ndarray:
+        """log N(x_n | μ_k, Λ_k⁻¹) for every (row, topic) pair, ``(n, K)``."""
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        diff = x[None, :, :] - self.means[:, None, :]       # (K, n, d)
+        quad = np.einsum("kni,kij,knj->kn", diff, self.precisions, diff)
+        return 0.5 * (
+            self.logdets[:, None] - self.means.shape[1] * _LOG_2PI - quad
+        ).T
+
+
 def batch_log_density(
     params: Sequence[GaussianParams], x: np.ndarray
 ) -> np.ndarray:
     """log N(x_n | μ_k, Λ_k⁻¹) for every (document, topic) pair at once.
 
-    Stacks the K precision matrices and evaluates all K quadratic forms
-    in a single einsum and all K log-determinants in one batched
-    ``slogdet``, returning an ``(n, K)`` matrix. The reduction order per
-    element matches :meth:`GaussianParams.log_density`, so the result is
-    bit-identical to the per-topic loop it replaces while dispatching
-    O(1) numpy calls instead of O(K).
+    :meth:`GaussianStack.of` then :meth:`GaussianStack.log_density`: all
+    K quadratic forms in a single einsum and all K log-determinants in
+    one batched ``slogdet``, returning an ``(n, K)`` matrix. The
+    reduction order per element matches :meth:`GaussianParams.log_density`,
+    so the result is bit-identical to the per-topic loop it replaces
+    while dispatching O(1) numpy calls instead of O(K).
     """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    means = np.stack([p.mean for p in params])            # (K, d)
-    precisions = np.stack([p.precision for p in params])  # (K, d, d)
-    logdets = pd_logdet(precisions, "precision matrix")
-    diff = x[None, :, :] - means[:, None, :]              # (K, n, d)
-    quad = np.einsum("kni,kij,knj->kn", diff, precisions, diff)
-    return 0.5 * (logdets[:, None] - means.shape[1] * _LOG_2PI - quad).T
+    return GaussianStack.of(params).log_density(x)
 
 
 def posterior(prior: NormalWishartPrior, data: np.ndarray) -> NormalWishartPrior:

@@ -72,6 +72,7 @@ METRICS: frozenset[str] = frozenset(
         "sampler.sweep_seconds",
         "sampler.sweeps",
         "sampler.tokens_per_sec",
+        "serve.answer_cache_hits",
         "serve.batch_size",
         "serve.errors",
         "serve.latency_seconds",

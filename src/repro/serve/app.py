@@ -24,9 +24,11 @@ unsupported method.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import threading
 import time
+from collections import OrderedDict
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any
 from urllib.parse import parse_qs, unquote
@@ -53,7 +55,12 @@ from repro.obs import metrics, prom, trace
 from repro.obs.log import get_logger
 from repro.serve.batch import MicroBatcher
 from repro.serve.engine import InferenceEngine, validate_request
-from repro.serve.schemas import MAX_BODY_BYTES, SCHEMA_VERSION, error_body
+from repro.serve.schemas import (
+    MAX_BODY_BYTES,
+    SCHEMA_VERSION,
+    TextureResponse,
+    error_body,
+)
 
 logger = get_logger("repro.serve")
 
@@ -64,6 +71,11 @@ _ROUTES = {
     "/v1/texture": ("POST",),
 }
 _TERMS_PREFIX = "/v1/terms/"
+
+#: Most ``POST /v1/texture`` answers a :class:`ServeApp` keeps for
+#: repeated bodies, least recently used out first. An entry is one
+#: frozen response, about 1.8 KB, so a full cache holds about 3.7 MB.
+ANSWER_CACHE_ENTRIES = 2048
 
 
 #: Every ``ReproError`` family's HTTP status, most-derived first (so
@@ -101,7 +113,12 @@ def status_of(exc: ReproError) -> int:
 
 
 class ServeApp:
-    """Transport-free request handling over one warm engine."""
+    """Transport-free request handling over one warm engine.
+
+    A repeated ``POST /v1/texture`` body is answered from the answers
+    already given (at most :data:`ANSWER_CACHE_ENTRIES`), in the same
+    bytes a fresh fold-in would give.
+    """
 
     def __init__(
         self, engine: InferenceEngine, batcher: MicroBatcher | None = None
@@ -109,6 +126,12 @@ class ServeApp:
         self.engine = engine
         self.batcher = batcher
         self.started_unix = time.time()
+        # Successful texture answers by the digest of their raw body,
+        # least recently used first. An answer is a pure function of the
+        # body and the model, so a hit skips the parse, queue and fold-in.
+        self._answers: OrderedDict[bytes, TextureResponse] = OrderedDict()
+        # Guards _answers: every handler thread reads and writes it.
+        self._answers_lock = threading.Lock()
 
     # -- entry point ---------------------------------------------------------
 
@@ -172,11 +195,26 @@ class ServeApp:
     # -- handlers ------------------------------------------------------------
 
     def _texture(self, body: bytes) -> dict[str, Any]:
-        request = validate_request(body)
-        if self.batcher is not None:
-            response = self.batcher.infer(request)
+        # The whole body is the key: ``top_terms`` is not part of the
+        # canonical request, yet it changes ``predicted_terms``.
+        key = hashlib.blake2b(body, digest_size=16).digest()
+        with self._answers_lock:
+            response = self._answers.get(key)
+            if response is not None:
+                self._answers.move_to_end(key)
+        if response is not None:
+            metrics.registry.counter("serve.answer_cache_hits").inc()
         else:
-            response = self.engine.infer(request)
+            request = validate_request(body)
+            if self.batcher is not None:
+                response = self.batcher.infer(request)
+            else:
+                response = self.engine.infer(request)
+            with self._answers_lock:
+                self._answers[key] = response
+                if len(self._answers) > ANSWER_CACHE_ENTRIES:
+                    self._answers.popitem(last=False)
+        # A fresh dict per answer: callers may mutate what they get.
         return response.to_dict()
 
     def _health(self) -> dict[str, Any]:

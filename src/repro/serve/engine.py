@@ -10,7 +10,8 @@ run fingerprint) and held in memory for the life of the process.
 :class:`~repro.core.estimator.TextureEstimator`, the only fold-in. Each
 request draws from its own RNG stream seeded on the request *content*,
 so the same question always gets a bit-identical answer — sequentially,
-batched (what makes :mod:`repro.serve.batch` safe), or from
+batched (what makes :mod:`repro.serve.batch` safe), cached (what makes
+:class:`~repro.serve.app.ServeApp`'s answer cache safe), or from
 ``repro estimate``.
 """
 

@@ -262,6 +262,15 @@ class TestMatchesOracle:
                     seed=1000 * n_topics + 2 * n_tokens + repeat,
                 )
 
+    @pytest.mark.parametrize("n_topics", [3, 10, 50])
+    def test_no_tokens(self, n_topics):
+        """A token-free fold-in skips its sweeps: every sweep count, α."""
+        for i, n_sweeps in enumerate(self.N_SWEEPS):
+            for j, alpha in enumerate((0.1, 1.0, 50.0 / n_topics)):
+                self.assert_same(
+                    n_topics, 0, n_sweeps, alpha, seed=7 * n_topics + 3 * i + j
+                )
+
     @pytest.mark.parametrize("n_topics", [10, 50])
     def test_token_cap(self, n_topics):
         """256 tokens, the most a served request may fold in."""

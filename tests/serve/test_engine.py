@@ -223,11 +223,15 @@ class TestServedBytes:
 
     def test_batched_gel_density_equals_the_per_topic_loop(self, served):
         engine, requests = served
-        params = engine.estimator._gel_params
+        params = engine.bundle.linker.gel_params()
         for request in requests:
             gel_log = engine.features_of(request).gel_log
             loop = np.array([float(p.log_density(gel_log)[0]) for p in params])
             assert np.array_equal(nw.batch_log_density(params, gel_log)[0], loop)
+            # The stack the estimator builds once and scores every request on.
+            assert np.array_equal(
+                engine.estimator._gel.log_density(gel_log)[0], loop
+            )
 
 
 class TestTermProfile:

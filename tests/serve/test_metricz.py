@@ -38,7 +38,9 @@ KIND_KEYS = {
 @pytest.fixture(scope="module")
 def app(engine):
     instance = ServeApp(engine)
-    instance.handle("POST", "/v1/texture", BODY)  # warm the metrics
+    # Warm the metrics; the repeat is answered from the answer cache.
+    instance.handle("POST", "/v1/texture", BODY)
+    instance.handle("POST", "/v1/texture", BODY)
     return instance
 
 
@@ -59,7 +61,10 @@ class TestJsonShape:
     def test_serve_metrics_present(self, app):
         _, payload = app.handle("GET", "/metricz")
         names = set(payload["metrics"])
-        assert {"serve.requests", "serve.latency_seconds"} <= names
+        assert {
+            "serve.requests", "serve.latency_seconds", "serve.answer_cache_hits"
+        } <= names
+        assert payload["metrics"]["serve.answer_cache_hits"]["value"] >= 1
 
     def test_payload_is_json_serialisable(self, app):
         _, payload = app.handle("GET", "/metricz")
