@@ -170,9 +170,12 @@ class TokenKernel:
     """One full z-sweep over the flattened corpus.
 
     Subclasses implement :meth:`sweep`, which resamples every token's
-    topic in corpus order, drawing the per-token uniforms as one
-    ``generator.random(len(doc))`` batch per document (the draw pattern
-    all pre-kernel samplers used, which pins the RNG stream). ``y`` is
+    topic in corpus order, drawing the per-token uniforms in one
+    ``generator.random`` call per sweep. For the dense kernel that is
+    the stream of one ``generator.random(len(doc))`` batch per document,
+    the draw pattern all pre-kernel samplers used, which pins the RNG
+    stream: each double takes one whole 64-bit output, so where the
+    batches are cut moves no draw. ``y`` is
     the per-document concentration-topic vector of the joint models
     (``None`` for plain LDA — no ``M_dk`` boost).
 
@@ -295,16 +298,13 @@ class DenseKernel(TokenKernel):
         n_topics = len(nk)
         last = n_topics - 1
         topic_range = range(n_topics)
+        uniforms = generator.random(offsets[-1]).tolist()
         for d in range(self.csr.n_docs):
             start, end = offsets[d], offsets[d + 1]
-            # One batched uniform draw per document — the exact RNG
-            # consumption pattern of the original loop (including empty
-            # documents, which draw a length-0 batch).
-            uniforms = generator.random(end - start).tolist()
             row = ndk[d]
             y_d = -1 if y is None else int(y[d])
             t = start
-            for u in uniforms:
+            for u in uniforms[start:end]:
                 v = words[t]
                 k_old = topics[t]
                 column = nvk[v]
@@ -348,13 +348,13 @@ class DenseKernel(TokenKernel):
         n_topics = len(nk)
         last = n_topics - 1
         topic_range = range(n_topics)
+        uniforms = generator.random(offsets[-1]).tolist()
         for d in range(self.csr.n_docs):
             start, end = offsets[d], offsets[d + 1]
-            uniforms = generator.random(end - start).tolist()
             row = ndk[d]
             y_d = -1 if y is None else int(y[d])
             t = start
-            for u in uniforms:
+            for u in uniforms[start:end]:
                 v = words[t]
                 k_old = topics[t]
                 column = nvk[v]
@@ -431,7 +431,7 @@ class AliasKernel(TokenKernel):
         and the ratio reduces to the exclusive doc counts.
 
     Per token exactly two uniforms are consumed (proposal + acceptance,
-    batched per document), so the RNG stream is deterministic given the
+    batched per sweep), so the RNG stream is deterministic given the
     corpus layout. Statistically equivalent to the dense kernel, not
     bit-identical. Amortised cost per token is O(1 + K/alias_refresh),
     independent of K for the default budget ``max(4K, 256)``.

@@ -14,6 +14,7 @@ Student-t predictive; both are provided.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -28,6 +29,9 @@ from repro.errors import ModelError
 from repro.rng import RngLike, ensure_rng
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
+
+#: ``Generator.multivariate_normal``'s ``tol``: the PSD check's rtol and atol.
+_PSD_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -157,13 +161,39 @@ def _wishart(
     tril, diag = _bartlett_slots(dim)
     factor = np.zeros((dim, dim))
     factor[tril] = generator.normal(size=dim * (dim - 1) // 2)
-    # scipy's shape expression and its ``** 0.5`` on size-1 arrays, so
-    # non-integer ν rounds exactly as there.
-    factor[diag] = np.concatenate(
-        [generator.chisquare(dof - (i + 1) + 1, size=1) ** 0.5 for i in range(dim)]
-    )
+    # scipy draws chisquare(ν − (i + 1) + 1, size=1) for each i in turn;
+    # one call on the vector of those shapes makes the same draws in the
+    # same order, and the shape expression is scipy's, so non-integer ν
+    # rounds exactly as there.
+    factor[diag] = generator.chisquare(dof - (np.arange(dim) + 1) + 1) ** 0.5
     chol_factor = np.dot(chol, factor)
     return np.dot(chol_factor, chol_factor.T)
+
+
+def _normal(
+    mean: np.ndarray, covariance: np.ndarray, generator: np.random.Generator
+) -> np.ndarray:
+    """x ~ N(μ, Σ), computed as ``generator.multivariate_normal(mean,
+    covariance)`` computes it with its default ``method="svd"``: one
+    ``(1, d)`` row z of standard normals, ``u, s, vh = svd(Σ)`` and
+    ``μ + z (u √s)ᵀ``. The bits and the generator state after it are
+    numpy's; only its per-call argument processing is skipped. Its PSD
+    check stays: unless ``vhᵀ diag(s) vh`` matches Σ within ``_PSD_TOL``
+    (``np.allclose``'s rule, elementwise, for the finite Σ that
+    :func:`guarded_inv` returns), it warns as numpy does."""
+    dim = mean.shape[0]
+    z = generator.standard_normal((1, dim))
+    u, s, vh = np.linalg.svd(covariance)
+    rebuilt = np.dot(vh.T * s, vh)
+    if not (
+        np.abs(rebuilt - covariance) <= _PSD_TOL + _PSD_TOL * np.abs(covariance)
+    ).all():
+        warnings.warn(
+            "covariance is not symmetric positive-semidefinite.",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+    return (mean + z @ (u * np.sqrt(s)).T).reshape(dim)
 
 
 def sample(nw: NormalWishartPrior, rng: RngLike = None) -> GaussianParams:
@@ -171,7 +201,7 @@ def sample(nw: NormalWishartPrior, rng: RngLike = None) -> GaussianParams:
     generator = ensure_rng(rng)
     precision = _wishart(nw.dof, nw.scale, generator)
     covariance = symmetrize(guarded_inv(nw.kappa * precision))
-    mean = generator.multivariate_normal(nw.mean, covariance)
+    mean = _normal(nw.mean, covariance, generator)
     return GaussianParams(mean=mean, precision=precision)
 
 

@@ -5,16 +5,16 @@ Mini-batched SGD on the standard SGNS objective:
     log σ(u_o · v_c) + Σ_neg log σ(−u_n · v_c)
 
 with linearly decaying learning rate. The implementation is vectorised:
-(centre, context) pairs are materialised per epoch, shuffled, and
-processed in batches with scatter-adds, which is fast enough for the
-recipe corpus scale (hundreds of thousands of tokens) without any
-compiled extension.
+the corpus is encoded once per fit, (centre, context) pairs are
+materialised per epoch in one pass, shuffled, and processed in batches
+with scatter-adds, which is fast enough for the recipe corpus scale
+(hundreds of thousands of tokens) without any compiled extension.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -48,26 +48,78 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.clip(x, -10.0, 10.0)))
 
 
-def _sentence_pairs(
-    vocab: Vocabulary,
+def _epoch_pairs(
+    ids: np.ndarray,
+    offsets: np.ndarray,
+    keep_probability: np.ndarray,
     window: int,
-    sentences: Iterable[Sequence[str]],
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """(centre, context) id pairs for one epoch, shuffled."""
-    pairs: list[tuple[int, int]] = []
-    for sentence in sentences:
-        ids = vocab.encode(sentence, rng=rng)
-        n = len(ids)
-        for i in range(n):
-            span = int(rng.integers(1, window + 1))  # dynamic window
-            lo, hi = max(0, i - span), min(n, i + span + 1)
-            for j in range(lo, hi):
-                if j != i:
-                    pairs.append((int(ids[i]), int(ids[j])))
-    arr = np.array(pairs, dtype=np.int64).reshape(-1, 2)
-    rng.shuffle(arr)
-    return arr
+    """(centre, context) id pairs for one epoch, shuffled.
+
+    ``ids`` and ``offsets`` are :meth:`Vocabulary.encode`'s flat corpus
+    and ``keep_probability`` is each of its tokens' subsampling keep
+    probability. Every non-empty sentence makes, in corpus order, the
+    draws of the per-token loop: ``rng.random(n)`` to subsample its n
+    tokens, then one scalar ``rng.integers(1, window + 1)`` per kept
+    token for its window span. (One sized call per sentence would give
+    the same values, but numpy spends about 5 µs per sized call on its
+    ``np.prod(size)``, more than the one to three scalar draws that most
+    sentences make.) The pairs are then built for all sentences at once
+    and shuffled by one permutation of the rows: the draws of shuffling
+    the rows in place, without its per-row Python loop.
+    """
+    keep = np.empty(ids.size, dtype=bool)
+    kept_per_sentence = np.zeros(len(offsets) - 1, dtype=np.int64)
+    spans: list[int] = []
+    integers = rng.integers
+    start = 0
+    for sentence, length in enumerate(np.diff(offsets).tolist()):
+        if not length:
+            continue
+        end = start + length
+        kept = keep[start:end]
+        np.less(rng.random(length), keep_probability[start:end], out=kept)
+        n_kept = np.count_nonzero(kept)
+        kept_per_sentence[sentence] = n_kept
+        for _ in range(n_kept):
+            spans.append(int(integers(1, window + 1)))  # dynamic window
+        start = end
+    span = np.array(spans, dtype=np.int64)
+    pairs = _window_pairs(ids[keep], kept_per_sentence, span, window)
+    return pairs[rng.permutation(len(pairs))]
+
+
+def _window_pairs(
+    kept_ids: np.ndarray, kept_per_sentence: np.ndarray, span: np.ndarray, window: int
+) -> np.ndarray:
+    """The (centre, context) pairs of every kept token within its span,
+    in the per-token loop's (sentence, centre, context) order: one
+    ``(kept, 2·window)`` mask of candidate context offsets, read row by
+    row. ``kept_ids`` holds the sentences' kept tokens back to back."""
+    position = np.arange(kept_ids.size)
+    ends = np.cumsum(kept_per_sentence)
+    first = np.repeat(ends - kept_per_sentence, kept_per_sentence)
+    last = np.repeat(ends - 1, kept_per_sentence)
+    reach = np.concatenate((np.arange(-window, 0), np.arange(1, window + 1)))
+    mask = reach >= np.maximum(-span, first - position)[:, None]
+    mask &= reach <= np.minimum(span, last - position)[:, None]
+    rows, cols = np.nonzero(mask)
+    pairs = np.empty((rows.size, 2), dtype=np.int64)
+    pairs[:, 0] = kept_ids[rows]
+    pairs[:, 1] = kept_ids[rows + reach[cols]]
+    return pairs
+
+
+def _scatter_add(matrix: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
+    """``np.add.at(matrix, rows, values)`` as one 1-D ``add.at`` on flat
+    indices: every element gets the same additions in the same order, and
+    numpy's 1-D fast path makes them several times faster. ``matrix`` is
+    C-contiguous (:meth:`SkipGramModel.fit` makes it), so its flat view
+    writes through."""
+    dim = matrix.shape[1]
+    flat_index = (rows[:, None] * dim + np.arange(dim)).reshape(-1)
+    np.add.at(matrix.reshape(-1), flat_index, values.reshape(-1))
 
 
 class SkipGramModel:
@@ -96,8 +148,10 @@ class SkipGramModel:
         )
         self.output_vectors = np.zeros((v, cfg.dim))
 
+        ids, offsets = self.vocab.encode(sentences)
+        keep_probability = self.vocab.keep_probability[ids]
         pair_batches = [
-            _sentence_pairs(self.vocab, cfg.window, sentences, generator)
+            _epoch_pairs(ids, offsets, keep_probability, cfg.window, generator)
             for _ in range(cfg.epochs)
         ]
         total_batches = 0
@@ -144,13 +198,9 @@ class SkipGramModel:
         grad_upos = g_pos * v_c
         grad_uneg = g_neg * v_c[:, None, :]
 
-        np.add.at(self.input_vectors, centres, -lr * grad_vc)
-        np.add.at(self.output_vectors, contexts, -lr * grad_upos)
-        np.add.at(
-            self.output_vectors,
-            negatives.reshape(-1),
-            -lr * grad_uneg.reshape(-1, self.config.dim),
-        )
+        _scatter_add(self.input_vectors, centres, -lr * grad_vc)
+        _scatter_add(self.output_vectors, contexts, -lr * grad_upos)
+        _scatter_add(self.output_vectors, negatives.reshape(-1), -lr * grad_uneg)
 
     # -- queries --------------------------------------------------------------
 
@@ -174,5 +224,6 @@ class SkipGramModel:
         scores = matrix @ query / np.maximum(norms, 1e-12)
         token_id = self.vocab.id_of(token)
         scores[token_id] = -np.inf
-        order = np.argsort(scores)[::-1][:k]
+        order = np.argsort(scores)[::-1]
+        order = order[order != token_id][:k]
         return [(self.vocab.token_of(int(i)), float(scores[i])) for i in order]

@@ -13,6 +13,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.errors import ModelError
+from repro.rng import WeightedChoice
 
 
 class Vocabulary:
@@ -49,10 +50,11 @@ class Vocabulary:
             keep = np.minimum(1.0, np.sqrt(subsample_t / frequency))
         else:
             keep = np.ones_like(frequency)
-        self._keep_probability = keep
+        #: Probability that subsampling keeps one occurrence of each id.
+        self.keep_probability: np.ndarray = keep
 
         noise = self._counts.astype(float) ** 0.75
-        self._noise_distribution = noise / noise.sum()
+        self._noise = WeightedChoice(noise / noise.sum())
 
     # -- mapping ----------------------------------------------------------
 
@@ -78,20 +80,24 @@ class Vocabulary:
     # -- training support --------------------------------------------------
 
     def encode(
-        self, sentence: Sequence[str], rng: np.random.Generator | None = None
-    ) -> np.ndarray:
-        """Token ids of ``sentence``, dropping OOV and subsampled tokens."""
-        ids = [
-            self._token_to_id[t] for t in sentence if t in self._token_to_id
-        ]
-        if rng is None or not ids:
-            return np.array(ids, dtype=np.int64)
-        arr = np.array(ids, dtype=np.int64)
-        keep = rng.random(arr.size) < self._keep_probability[arr]
-        return arr[keep]
+        self, sentences: Sequence[Sequence[str]]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The corpus as one flat id array, out-of-vocabulary tokens
+        dropped, and ``len(sentences) + 1`` offsets: sentence ``s`` is
+        ``ids[offsets[s]:offsets[s + 1]]``."""
+        lookup = self._token_to_id.get
+        all_ids = np.array(
+            [lookup(t, -1) for sentence in sentences for t in sentence],
+            dtype=np.int64,
+        )
+        known = all_ids >= 0
+        known_before = np.concatenate(([0], np.cumsum(known)))
+        lengths = [len(sentence) for sentence in sentences]
+        bounds = np.concatenate(([0], np.cumsum(lengths, dtype=np.int64)))
+        return all_ids[known], known_before[bounds]
 
     def sample_negatives(
         self, shape: tuple[int, ...], rng: np.random.Generator
     ) -> np.ndarray:
         """Draw negative-sample ids from the unigram^0.75 distribution."""
-        return rng.choice(len(self), size=shape, p=self._noise_distribution)
+        return self._noise.draw(rng, shape)

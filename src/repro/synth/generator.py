@@ -35,7 +35,7 @@ from repro.rheology.gel_system import (
     Composition,
     GelSystemModel,
 )
-from repro.rng import RngLike, ensure_rng
+from repro.rng import RngLike, WeightedChoice, ensure_rng
 from repro.synth import templates
 from repro.synth.archetypes import ARCHETYPE_INDEX, Archetype, Optional_
 from repro.synth.ingredients import render_quantity
@@ -132,13 +132,11 @@ class CorpusGenerator:
         """Generate a full corpus according to ``preset``."""
         names = sorted(preset.archetype_weights)
         weights = np.array([preset.archetype_weights[n] for n in names])
-        weights = weights / weights.sum()
+        archetypes = WeightedChoice(weights / weights.sum())
         recipes: list[Recipe] = []
         truths: dict[str, GroundTruth] = {}
         for index in range(preset.n_recipes):
-            archetype = ARCHETYPE_INDEX[
-                names[int(self.rng.choice(len(names), p=weights))]
-            ]
+            archetype = ARCHETYPE_INDEX[names[archetypes.draw(self.rng)]]
             recipe, truth = self.generate_one(f"R{index:06d}", archetype, preset)
             recipes.append(recipe)
             truths[recipe.recipe_id] = truth

@@ -10,9 +10,11 @@ by the rendering is part of the data, exactly as on a real site.
 from __future__ import annotations
 
 import enum
+from functools import lru_cache
 
 import numpy as np
 
+from repro.rng import WeightedChoice
 from repro.units.convert import to_grams
 from repro.units.parser import parse_quantity
 
@@ -145,6 +147,15 @@ def _formats_for(name: str, role: Role) -> tuple[tuple[str, float], ...]:
     return _SOLID_DEFAULT
 
 
+@lru_cache(maxsize=256)
+def _format_choice(name: str) -> tuple[tuple[str, ...], WeightedChoice]:
+    """``name``'s quantity formats and the draw over their weights, built
+    once per ingredient."""
+    formats = _formats_for(name, ROLES.get(name, Role.FLAVOR))
+    weights = np.array([w for _, w in formats])
+    return tuple(k for k, _ in formats), WeightedChoice(weights / weights.sum())
+
+
 def _round_half(value: float) -> float:
     return max(round(value * 2) / 2, 0.5)
 
@@ -160,10 +171,8 @@ def render_quantity(name: str, grams: float, rng: np.random.Generator) -> str:
     # real authors write 適量 ("to taste") for trace flavourings
     if role is Role.FLAVOR and rng.random() < 0.2:
         return "tekiryou"
-    formats = _formats_for(name, role)
-    kinds = [k for k, _ in formats]
-    weights = np.array([w for _, w in formats])
-    kind = kinds[int(rng.choice(len(kinds), p=weights / weights.sum()))]
+    kinds, choice = _format_choice(name)
+    kind = kinds[choice.draw(rng)]
     density = _DENSITY.get(name, 1.0)
 
     if kind == "g":

@@ -14,6 +14,7 @@ accepted.
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 
 from repro.errors import UnitParseError
 from repro.units.quantity import Quantity, Unit
@@ -97,6 +98,12 @@ def is_unquantified(text: str) -> bool:
     return isinstance(text, str) and text.strip().lower() in UNQUANTIFIED_SPELLINGS
 
 
+#: How many distinct strings' parses :func:`parse_quantity` keeps, least
+#: recently used out. A cold 600-recipe run makes about 8,300 parses of
+#: about 750 distinct strings.
+PARSE_CACHE_ENTRIES = 4096
+
+
 def parse_quantity(text: str) -> Quantity:
     """Parse ``text`` into a :class:`Quantity`.
 
@@ -105,9 +112,19 @@ def parse_quantity(text: str) -> Quantity:
     ("tekiryou"), which callers should detect with
     :func:`is_unquantified` and handle by policy (skip, or treat as a
     pinch).
+
+    Successful parses of strings are cached (:data:`PARSE_CACHE_ENTRIES`);
+    a :class:`Quantity` is frozen, so callers can share one.
     """
-    if not isinstance(text, str) or not text.strip():
+    if not isinstance(text, str):
         raise UnitParseError(str(text), "empty")
+    return _parse_text(text)
+
+
+@lru_cache(maxsize=PARSE_CACHE_ENTRIES)
+def _parse_text(text: str) -> Quantity:
+    if not text.strip():
+        raise UnitParseError(text, "empty")
     if is_unquantified(text):
         raise UnitParseError(text, "unquantified ('to taste')")
     match = _AMOUNT_FIRST.match(text)

@@ -200,6 +200,24 @@ class TestDenseBitIdentity:
             assert np.array_equal(dense.counts.n_kv, legacy.counts.n_kv)
             assert np.array_equal(dense.counts.n_k, legacy.counts.n_k)
 
+    @pytest.mark.parametrize("alpha", [1.0, 0.5])
+    def test_sweep_leaves_the_generator_where_per_document_draws_do(
+        self, rng, alpha
+    ):
+        """One ``random(n_tokens)`` per sweep is the stream of one
+        ``random(len(doc))`` per document, empty documents included, and
+        leaves a pending 32-bit half-word alone."""
+        docs = synthetic_docs(rng)
+        dense, gen_d = _build_kernel("dense", docs, 9, 4, 5, alpha)
+        legacy, gen_l = _build_kernel("legacy", docs, 9, 4, 5, alpha)
+        for gen in (gen_d, gen_l):
+            gen.integers(0, 7)  # leaves a buffered 32-bit half-word
+        for _ in range(3):
+            dense.sweep(gen_d)
+            legacy.sweep(gen_l)
+            assert gen_d.bit_generator.state == gen_l.bit_generator.state
+            assert gen_d.integers(0, 7) == gen_l.integers(0, 7)
+
     def test_fused_path_selected_only_for_integer_alpha(self, rng):
         docs = synthetic_docs(rng)
         fused, _ = _build_kernel("dense", docs, 9, 4, 0, alpha=2.0)

@@ -1,5 +1,7 @@
 """Tests for repro.core.normal_wishart — equation (4) machinery."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -81,8 +83,8 @@ class TestSampling:
 def scipy_sample(
     prior: NormalWishartPrior, generator: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Oracle: Λ from ``scipy.stats.wishart.rvs``, then μ as ``nw.sample``
-    draws it."""
+    """Oracle: Λ from ``scipy.stats.wishart.rvs``, then μ from numpy's
+    ``multivariate_normal`` on the covariance ``nw.sample`` builds."""
     precision = np.atleast_2d(
         stats.wishart.rvs(df=prior.dof, scale=prior.scale, random_state=generator)
     )
@@ -108,8 +110,9 @@ def random_prior(dim: int, seed: int) -> NormalWishartPrior:
 
 
 class TestBartlettDraw:
-    """``nw.sample`` runs scipy's Bartlett construction itself: the same
-    draws in the same order, so the stream does not move."""
+    """``nw.sample`` runs scipy's Bartlett construction and numpy's SVD
+    normal draw itself: the same draws in the same order, so the stream
+    does not move."""
 
     @pytest.mark.parametrize("dim", [2, 3, 6])
     @pytest.mark.parametrize("seed", range(6))
@@ -134,6 +137,35 @@ class TestBartlettDraw:
         assert ours.precision.shape == (1, 1)
         assert np.array_equal(ours.precision, precision)
         assert np.array_equal(ours.mean, mean)
+
+    @pytest.mark.parametrize("dim", [1, 3, 6])
+    def test_normal_matches_multivariate_normal(self, dim):
+        gen = ensure_rng(dim)
+        ours_rng, theirs_rng = ensure_rng(30 + dim), ensure_rng(30 + dim)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # PSD: no warning
+            for _ in range(200):
+                root = gen.normal(size=(dim, dim))
+                covariance = symmetrize(root @ root.T + 0.01 * np.eye(dim))
+                mean = gen.normal(size=dim)
+                ours = nw._normal(mean, covariance, ours_rng)
+                theirs = theirs_rng.multivariate_normal(mean, covariance)
+                assert ours.shape == theirs.shape == (dim,)
+                assert np.array_equal(ours, theirs)
+        assert ours_rng.random() == theirs_rng.random()
+
+    def test_covariance_failing_the_psd_check_warns(self):
+        """An indefinite Σ fails numpy's check: both warn, and the draws
+        still agree."""
+        covariance = np.array([[1.0, 2.0], [2.0, 1.0]])
+        mean = np.zeros(2)
+        ours_rng, theirs_rng = ensure_rng(8), ensure_rng(8)
+        with pytest.warns(RuntimeWarning, match="positive-semidefinite"):
+            theirs = theirs_rng.multivariate_normal(mean, covariance)
+        with pytest.warns(RuntimeWarning, match="positive-semidefinite"):
+            ours = nw._normal(mean, covariance, ours_rng)
+        assert np.array_equal(ours, theirs)
+        assert ours_rng.random() == theirs_rng.random()
 
     def test_mean_precision_is_nu_s(self):
         """E[Λ] = ν·S, here within 3% over 4,000 draws."""

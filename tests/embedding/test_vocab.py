@@ -1,5 +1,6 @@
 """Tests for repro.embedding.vocab."""
 
+import numpy as np
 import pytest
 
 from repro.embedding.vocab import Vocabulary
@@ -42,19 +43,28 @@ class TestConstruction:
 class TestEncode:
     def test_oov_dropped(self):
         vocab = Vocabulary(SENTENCES, min_count=2)
-        ids = vocab.encode(["puru", "unknown", "zerii"])
+        ids, _ = vocab.encode([["puru", "unknown", "zerii"]])
         assert len(ids) == 2
-
-    def test_subsampling_drops_frequent_tokens(self):
-        sentences = [["the"] * 50 + ["rare"]] * 40
-        vocab = Vocabulary(sentences, min_count=1, subsample_t=1e-4)
-        rng = ensure_rng(0)
-        encoded = vocab.encode(sentences[0], rng=rng)
-        assert len(encoded) < 51
 
     def test_no_rng_keeps_everything(self):
         vocab = Vocabulary(SENTENCES, min_count=1)
-        assert len(vocab.encode(SENTENCES[0])) == 3
+        ids, _ = vocab.encode([SENTENCES[0]])
+        assert len(ids) == 3
+
+    def test_offsets_bound_each_sentence(self):
+        vocab = Vocabulary(SENTENCES, min_count=2)
+        sentences = [["puru", "katai"], [], ["unknown"], ["zerii", "puru"]]
+        ids, offsets = vocab.encode(sentences)
+        assert offsets.tolist() == [0, 1, 1, 1, 3]
+        for sentence, start, end in zip(sentences, offsets[:-1], offsets[1:]):
+            expected = [vocab.id_of(t) for t in sentence if t in vocab]
+            assert ids[start:end].tolist() == expected
+        assert ids.dtype == offsets.dtype == np.int64
+
+    def test_empty_input(self):
+        vocab = Vocabulary(SENTENCES, min_count=1)
+        ids, offsets = vocab.encode([])
+        assert ids.size == 0 and offsets.tolist() == [0]
 
 
 class TestNegativeSampling:

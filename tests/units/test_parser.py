@@ -3,7 +3,8 @@
 import pytest
 
 from repro.errors import UnitParseError
-from repro.units.parser import parse_quantity
+from repro.units import parser
+from repro.units.parser import PARSE_CACHE_ENTRIES, parse_quantity
 from repro.units.quantity import Unit
 
 
@@ -86,6 +87,45 @@ class TestRejections:
         with pytest.raises(UnitParseError) as exc:
             parse_quantity("5 blobs")
         assert "blobs" in str(exc.value)
+
+
+class _LooksLikeGrams:
+    """Not a string, but prints as a cached one."""
+
+    def __str__(self) -> str:
+        return "5 g"
+
+
+BAD_INPUTS = [
+    None, 5, 5.0, b"5 g", ["5 g"], _LooksLikeGrams(),
+    "", "   ", "5 blobs", "tekiryou", "1/0 g",
+]
+
+
+class TestParseCache:
+    def test_a_repeat_is_answered_from_the_cache(self):
+        first = parse_quantity("7.125 g")
+        hits = parser._parse_text.cache_info().hits
+        again = parse_quantity("7.125 g")
+        assert again is first
+        assert parser._parse_text.cache_info().hits == hits + 1
+        assert again == parser._parse_text.__wrapped__("7.125 g")
+
+    def test_failures_raise_before_and_after_a_cached_success(self):
+        for bad in BAD_INPUTS:
+            with pytest.raises(UnitParseError):
+                parse_quantity(bad)  # type: ignore[arg-type]
+        assert parse_quantity("5 g") == parse_quantity("5 g")
+        for bad in BAD_INPUTS:
+            with pytest.raises(UnitParseError):
+                parse_quantity(bad)  # type: ignore[arg-type]
+
+    def test_bounded(self):
+        for i in range(PARSE_CACHE_ENTRIES + 10):
+            parse_quantity(f"{i} ml")
+        info = parser._parse_text.cache_info()
+        assert info.maxsize == PARSE_CACHE_ENTRIES
+        assert info.currsize <= PARSE_CACHE_ENTRIES
 
 
 class TestCaseInsensitivity:
