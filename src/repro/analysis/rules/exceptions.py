@@ -31,7 +31,6 @@ _FALLBACK_ERROR_NAMES = frozenset(
         "ReproError",
         "UnitParseError",
         "UnitConversionError",
-        "UnknownIngredientError",
         "UnknownTermError",
         "DictionaryError",
         "CorpusError",

@@ -48,7 +48,7 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from repro.errors import ModelError, ReproError, ServeError
+from repro.errors import ReproError, ServeError
 from repro.obs import log as obs_log
 from repro.obs import profile as obs_profile
 from repro.obs import trace as obs_trace
@@ -93,7 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default="gibbs",
         help="inference method (paper = gibbs)",
     )
-    pipeline.add_argument("--restarts", type=int, default=1,
+    pipeline.add_argument("--restarts", type=int, action=_int_in(1), default=1,
                           help="independent Gibbs chains; best one wins")
     pipeline.add_argument(
         "--workers", type=int, default=1,
@@ -209,7 +209,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="TCP port (default: 8321; 0 picks a free one)",
     )
     serve.add_argument(
-        "--fold-in-sweeps", type=int, default=48,
+        "--fold-in-sweeps", type=int, action=_int_in(3), default=48,
         help="Gibbs fold-in sweeps per request (burn-in is a third)",
     )
 
@@ -237,7 +237,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="emit flamegraph folded-stack lines instead of the table",
     )
     trace_flame.add_argument(
-        "--limit", type=int, default=15,
+        "--limit", type=int, action=_int_in(1), default=15,
         help="rows in the hot-frame table (default: 15)",
     )
 
@@ -291,7 +291,7 @@ def _build_parser() -> argparse.ArgumentParser:
     rules = sub.add_parser(
         "rules", help="mine concentration→texture rules from the corpus"
     )
-    rules.add_argument("--limit", type=int, default=15)
+    rules.add_argument("--limit", type=int, action=_int_in(1), default=15)
     rules.add_argument("--min-effect", type=float, default=1.0)
     rules.add_argument("--recipes", type=int, action=_int_in(1), default=1500)
     rules.add_argument("--seed", type=int, default=11)
@@ -401,8 +401,6 @@ def _apply_parallel_options(
     workers = getattr(args, "workers", 1)
     restarts = getattr(args, "restarts", 1)
     kernel = getattr(args, "kernel", "dense")
-    if restarts < 1:
-        raise ModelError("--restarts must be >= 1")
     model = config.model
     if workers != 1 or restarts > 1 or kernel != model.kernel:
         model = dataclasses.replace(
@@ -491,10 +489,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     bundle = ModelBundle.load(
         ArtifactStore(args.cache_dir), fingerprint=args.fingerprint
     )
-    sweeps = args.fold_in_sweeps
-    if sweeps < 3:
-        raise ModelError("--fold-in-sweeps must be >= 3")
-    engine = InferenceEngine(bundle, config=FoldInConfig(n_sweeps=sweeps))
+    engine = InferenceEngine(
+        bundle, config=FoldInConfig(n_sweeps=args.fold_in_sweeps)
+    )
     batcher = MicroBatcher(engine)
     try:
         server = make_server(engine, args.host, args.port, batcher=batcher)

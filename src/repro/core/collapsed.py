@@ -91,13 +91,13 @@ class _SuffStats:
 class _BatchedStudentT:
     """Cached Student-t predictives for all K topics, evaluated batched.
 
-    The collapsed y-sweep evaluates every topic's predictive for every
+    The collapsed y-sweep needs every topic's predictive for every
     document, but a document move only changes *two* topics' sufficient
     statistics — so each topic's posterior factorisation is rebuilt
     lazily on invalidation. The per-topic caches are stored as stacked
     arrays (means ``(K, d)``, scale inverses ``(K, d, d)``…), which lets
-    one einsum evaluate all K quadratic forms per document instead of a
-    Python loop over topics.
+    one einsum evaluate any subset of the K quadratic forms per document
+    instead of a Python loop over topics.
 
     Rebuilds factor the posterior scale-inverse with a Cholesky
     decomposition (one factorisation yields both the log-determinant and
@@ -205,29 +205,15 @@ class _BatchedStudentT:
         for k in np.flatnonzero(~self._fresh):
             self._rebuild(int(k), stats[k])
 
-    def logpdf_all(
-        self, stats: Sequence["_SuffStats"], x: np.ndarray
-    ) -> np.ndarray:
-        """All K topic predictive log-densities of ``x``, one einsum."""
-        self.refresh(stats)
-        diff = x - self._means                                    # (K, d)
-        quad = np.einsum("ki,kij,kj->k", diff, self._inv_scale_t, diff)
-        d = self._means.shape[1]
-        return self._norm - 0.5 * (self._dof_t + d) * np.log1p(
-            quad / self._dof_t
-        )
-
     def logpdf_some(
         self, stats: Sequence["_SuffStats"], x: np.ndarray, idx: np.ndarray
     ) -> np.ndarray:
         """Predictive log-densities of ``x`` for the topic subset ``idx``.
 
-        Entry-for-entry **bitwise equal** to the corresponding entries
-        of :meth:`logpdf_all`: the einsum contraction and the follow-up
-        elementwise arithmetic are per-row computations, so evaluating
-        a row subset performs the identical IEEE operations per entry.
-        This is what lets the density cache recompute only stale topics
-        while staying bit-identical to the uncached sampler.
+        The einsum contraction and the follow-up elementwise arithmetic
+        are per-row computations, so an entry's bits do not depend on
+        which other topics ``idx`` holds. That is what lets the sampler's
+        density cache recompute only stale topics.
         """
         self.refresh(stats)
         means = self._means[idx]
@@ -320,10 +306,7 @@ class CollapsedJointModel:
             alpha,
             gamma,
         )
-        if cfg.seed_y_with_kmeans:
-            y = kmeans_plus_plus(gels, k_range, generator).astype(np.int64)
-        else:
-            y = generator.integers(0, k_range, size=n_docs).astype(np.int64)
+        y = kmeans_plus_plus(gels, k_range, generator).astype(np.int64)
 
         gel_stats = [_SuffStats.empty(gels.shape[1]) for _ in range(k_range)]
         emu_stats = [_SuffStats.empty(emulsions.shape[1]) for _ in range(k_range)]
@@ -343,17 +326,12 @@ class CollapsedJointModel:
         # predictive log-density of document d, valid while ver_*[d, k]
         # equals the topic's factorisation build id. Only topics whose
         # statistics changed since document d last looked are
-        # recomputed — O(moves) instead of O(K) per document — and the
-        # recompute path (logpdf_some) is bitwise equal to the full
-        # logpdf_all evaluation, so the flag flips cost, not results.
-        use_cache = cfg.cache_y_densities
-        use_emu = cfg.use_emulsions
-        if use_cache:
-            dens_gel = np.zeros((n_docs, k_range))
-            ver_gel = np.zeros((n_docs, k_range), dtype=np.int64)
-            if use_emu:
-                dens_emu = np.zeros((n_docs, k_range))
-                ver_emu = np.zeros((n_docs, k_range), dtype=np.int64)
+        # recomputed — O(moves) instead of O(K) per document. The four
+        # arrays take n_docs × K × 32 bytes (1.5 MB at paper scale).
+        dens_gel = np.zeros((n_docs, k_range))
+        ver_gel = np.zeros((n_docs, k_range), dtype=np.int64)
+        dens_emu = np.zeros((n_docs, k_range))
+        ver_emu = np.zeros((n_docs, k_range), dtype=np.int64)
 
         for sweep in range(cfg.n_sweeps):
             # -- z updates (identical to the semi-collapsed sampler) --------
@@ -386,34 +364,21 @@ class CollapsedJointModel:
                 old_emu.remove(emulsions[d])
                 gel_pred.invalidate(k_old)
                 emu_pred.invalidate(k_old)
-                if use_cache:
-                    gel_pred.refresh(gel_stats)
-                    stale = np.flatnonzero(
-                        ver_gel[d] != gel_pred.build_versions
+                gel_pred.refresh(gel_stats)
+                stale = np.flatnonzero(ver_gel[d] != gel_pred.build_versions)
+                if stale.size:
+                    dens_gel[d, stale] = gel_pred.logpdf_some(
+                        gel_stats, gels[d], stale
                     )
-                    if stale.size:
-                        dens_gel[d, stale] = gel_pred.logpdf_some(
-                            gel_stats, gels[d], stale
-                        )
-                        ver_gel[d, stale] = gel_pred.build_versions[stale]
-                    gauss = dens_gel[d]
-                    if use_emu:
-                        emu_pred.refresh(emu_stats)
-                        stale = np.flatnonzero(
-                            ver_emu[d] != emu_pred.build_versions
-                        )
-                        if stale.size:
-                            dens_emu[d, stale] = emu_pred.logpdf_some(
-                                emu_stats, emulsions[d], stale
-                            )
-                            ver_emu[d, stale] = emu_pred.build_versions[stale]
-                        gauss = gauss + dens_emu[d]
-                else:
-                    gauss = gel_pred.logpdf_all(gel_stats, gels[d])
-                    if use_emu:
-                        gauss = gauss + emu_pred.logpdf_all(
-                            emu_stats, emulsions[d]
-                        )
+                    ver_gel[d, stale] = gel_pred.build_versions[stale]
+                emu_pred.refresh(emu_stats)
+                stale = np.flatnonzero(ver_emu[d] != emu_pred.build_versions)
+                if stale.size:
+                    dens_emu[d, stale] = emu_pred.logpdf_some(
+                        emu_stats, emulsions[d], stale
+                    )
+                    ver_emu[d, stale] = emu_pred.build_versions[stale]
+                gauss = dens_gel[d] + dens_emu[d]
                 logits = np.log(counts.n_dk[d] + alpha) + gauss  # repro: noqa[NUM002] - counts >= 0 and alpha > 0 (DirichletPrior)
                 logits -= logsumexp(logits)
                 cumulative = np.cumsum(np.exp(logits))

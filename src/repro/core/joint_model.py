@@ -50,7 +50,13 @@ _LOG_EVERY = 50
 
 @dataclass(frozen=True)
 class JointModelConfig:
-    """Configuration of the joint model and its Gibbs sampler."""
+    """Configuration of the joint model and its Gibbs sampler.
+
+    Each sampler has one path: both concentration channels enter the
+    y_d likelihood (Fig 1), y starts from k-means++ on the gel vectors
+    (:mod:`repro.core.seeding`), and the per-topic terms of the y-draw
+    are memoised between sweeps.
+    """
 
     n_topics: int = 10
     alpha: float = 1.0            # Dir(θ) hyperparameter
@@ -59,12 +65,6 @@ class JointModelConfig:
     n_sweeps: int = 400
     burn_in: int = 200
     thin: int = 5
-    #: Include the emulsion channel in the y_d likelihood. Equation (3)
-    #: of the paper prints only one Gaussian factor; the generative model
-    #: of Fig 1 emits both g_d and e_d from y_d, which is what we use.
-    use_emulsions: bool = True
-    #: Seed y with k-means++ on the gel vectors instead of uniformly.
-    seed_y_with_kmeans: bool = True
     #: Independent chains to run; the one with the best final joint
     #: log-likelihood wins. Gibbs chains on multimodal posteriors can
     #: settle in different label partitions; restarts are the standard
@@ -81,13 +81,6 @@ class JointModelConfig:
     #: equivalent to dense, not bit-identical) or "auto" (pick from K).
     #: See :mod:`repro.core.kernels`.
     kernel: str = "dense"
-    #: Cache the per-topic terms of the y-draw between sweeps, keyed on
-    #: the sufficient statistics that feed them, so only topics whose
-    #: membership changed are recomputed. Bit-identical to the uncached
-    #: path (pure memoisation — the RNG stream is untouched); the flag
-    #: exists for A/B verification and memory-constrained runs of the
-    #: collapsed model, whose cache is O(n_docs × K).
-    cache_y_densities: bool = True
 
     def __post_init__(self) -> None:
         if self.n_topics < 1:
@@ -291,11 +284,8 @@ class JointTextureTopicModel:
             gamma,
         )
         # Seed y with k-means++ on the gel vectors (see repro.core.seeding
-        # for why a uniform start mixes badly) unless configured otherwise.
-        if cfg.seed_y_with_kmeans:
-            y = kmeans_plus_plus(gels, k_range, generator).astype(np.int64)
-        else:
-            y = generator.integers(0, k_range, size=n_docs).astype(np.int64)
+        # for why a uniform start mixes badly).
+        y = kmeans_plus_plus(gels, k_range, generator).astype(np.int64)
 
         # accumulators for the post-burn-in averages of equation (5)
         phi_acc = np.zeros((k_range, vocab_size))
@@ -311,20 +301,19 @@ class JointTextureTopicModel:
         # Per-topic NW posterior cache, keyed on topic membership: a
         # posterior depends only on {d : y_d = k}, so after a y-sweep
         # only topics that gained or lost documents need recomputing.
-        # Pure memoisation — identical posteriors, identical RNG stream
-        # — hence bit-identical to the uncached path.
-        use_cache = cfg.cache_y_densities
+        # Pure memoisation: the posteriors and the RNG stream are those
+        # of recomputing every topic every sweep.
         gel_post: list[NormalWishartPrior | None] = [None] * k_range
         emu_post: list[NormalWishartPrior | None] = [None] * k_range
         prev_y: np.ndarray | None = None
 
         for sweep in range(cfg.n_sweeps):
             # -- equation (4): resample topic Gaussians given y ------------
-            if use_cache and prev_y is not None:
+            if prev_y is None:
+                stale = np.arange(k_range)
+            else:
                 moved = prev_y != y
                 stale = np.unique(np.concatenate((prev_y[moved], y[moved])))
-            else:
-                stale = np.arange(k_range)
             for k in stale:
                 members = y == k
                 gel_post[k] = nw.posterior(gel_prior, gels[members])
@@ -337,10 +326,11 @@ class JointTextureTopicModel:
                 nw.sample(emu_post[k], generator) for k in range(k_range)
             ]
             # per-doc Gaussian log-likelihood matrix, fixed for the sweep:
-            # all K topics evaluated in one batched einsum/slogdet
+            # all K topics evaluated in one batched einsum/slogdet. Fig 1
+            # emits both g_d and e_d from y_d, so both channels enter
+            # (equation (3) prints only the gel factor).
             log_gel = nw.batch_log_density(gel_params, gels)
-            if cfg.use_emulsions:
-                log_gel = log_gel + nw.batch_log_density(emu_params, emulsions)
+            log_gel = log_gel + nw.batch_log_density(emu_params, emulsions)
 
             # -- equation (2): per-token z updates ---------------------------
             if trace_enabled:

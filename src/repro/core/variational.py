@@ -43,7 +43,6 @@ class VariationalConfig:
     kappa: float = 0.1
     max_iter: int = 200
     tol: float = 1e-5
-    seed_y_with_kmeans: bool = True
 
     def __post_init__(self) -> None:
         if self.n_topics < 1:
@@ -230,14 +229,11 @@ class VariationalJointModel:
         gel_q = _NWPosterior(gel_prior, k_range)
         emu_q = _NWPosterior(emulsion_prior, k_range)
 
-        # initialise responsibilities from k-means (or softly at random)
-        if cfg.seed_y_with_kmeans:
-            labels = kmeans_plus_plus(gels, k_range, generator)
-            r_y = np.full((n_docs, k_range), 0.5 / max(k_range - 1, 1))
-            r_y[np.arange(n_docs), labels] = 0.5
-            r_y /= r_y.sum(axis=1, keepdims=True)
-        else:
-            r_y = generator.dirichlet(np.ones(k_range), size=n_docs)
+        # initialise responsibilities from k-means++
+        labels = kmeans_plus_plus(gels, k_range, generator)
+        r_y = np.full((n_docs, k_range), 0.5 / max(k_range - 1, 1))
+        r_y[np.arange(n_docs), labels] = 0.5
+        r_y /= r_y.sum(axis=1, keepdims=True)
         gel_q.update(gels, r_y)
         emu_q.update(emulsions, r_y)
         theta_param = alpha + r_y + counts.sum(axis=1, keepdims=True) / k_range

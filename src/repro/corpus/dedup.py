@@ -72,7 +72,6 @@ class RecipeDeduplicator:
         n_hashes: int = 64,
         bands: int = 16,
         shingle_size: int = 3,
-        tokenizer: Tokenizer | None = None,
         seed: int = 911,
     ) -> None:
         if not 0.0 < threshold <= 1.0:
@@ -84,7 +83,7 @@ class RecipeDeduplicator:
         self.bands = bands
         self.rows_per_band = n_hashes // bands
         self.shingle_size = shingle_size
-        self.tokenizer = tokenizer or Tokenizer()
+        self.tokenizer = Tokenizer()
         # ensure_rng(int) builds the same default_rng stream, so the
         # hash coefficients below are bit-identical to the pre-repro.rng
         # code path (pinned by test_hash_coefficients_pinned).

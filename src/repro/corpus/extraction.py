@@ -24,8 +24,6 @@ class TextureTermExtractor:
     ----------
     dictionary:
         The texture dictionary to match against.
-    tokenizer:
-        How descriptions are tokenised before matching.
     excluded:
         Surfaces to ignore even when they match (the word2vec filter's
         output). Can be extended later via :meth:`exclude`.
@@ -34,11 +32,10 @@ class TextureTermExtractor:
     def __init__(
         self,
         dictionary: TextureDictionary,
-        tokenizer: Tokenizer | None = None,
         excluded: Iterable[str] = (),
     ) -> None:
         self.dictionary = dictionary
-        self.tokenizer = tokenizer or Tokenizer()
+        self.tokenizer = Tokenizer()
         self._excluded: set[str] = set(excluded)
 
     @property

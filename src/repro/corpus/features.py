@@ -76,42 +76,28 @@ class RecipeFeatures:
         return sequence
 
 
-def mass_table(
-    recipe: Recipe,
-    strict: bool = False,
-    unquantified: str = "pinch",
-) -> dict[str, float]:
+def mass_table(recipe: Recipe) -> dict[str, float]:
     """Grams of every ingredient of ``recipe``.
 
-    Raises :class:`~repro.errors.UnitParseError` /
+    A "to taste" amount (適量) counts as one pinch, and an ingredient
+    missing from the physics table converts at water's density (see
+    :func:`~repro.units.gravity.physics_of`). Raises
+    :class:`~repro.errors.UnitParseError` /
     :class:`~repro.errors.UnitConversionError` on malformed lines, so the
     dataset builder can count and drop unparseable recipes explicitly.
-
-    ``unquantified`` sets the policy for "to taste" amounts (適量):
-    ``"pinch"`` (default) counts them as one pinch, ``"skip"`` drops the
-    line, ``"error"`` propagates the parse error.
     """
-    if unquantified not in ("pinch", "skip", "error"):
-        raise ValueError(f"unknown unquantified policy {unquantified!r}")
     masses: dict[str, float] = {}
     for ingredient in recipe.ingredients:
         if is_unquantified(ingredient.quantity_text):
-            if unquantified == "skip":
-                continue
-            if unquantified == "pinch":
-                masses[ingredient.name] = to_grams(
-                    Quantity(1.0, Unit.PINCH), ingredient.name, strict=strict
-                )
-                continue
-        quantity = parse_quantity(ingredient.quantity_text)
-        masses[ingredient.name] = to_grams(quantity, ingredient.name, strict=strict)
+            quantity = Quantity(1.0, Unit.PINCH)
+        else:
+            quantity = parse_quantity(ingredient.quantity_text)
+        masses[ingredient.name] = to_grams(quantity, ingredient.name)
     return masses
 
 
 def build_features(
-    recipe: Recipe,
-    extractor: TextureTermExtractor,
-    strict_units: bool = False,
+    recipe: Recipe, extractor: TextureTermExtractor
 ) -> RecipeFeatures:
     """Featurise one recipe.
 
@@ -120,7 +106,7 @@ def build_features(
     :class:`~repro.errors.UnitParseError` and
     :class:`~repro.errors.UnitConversionError`.
     """
-    masses = mass_table(recipe, strict=strict_units)
+    masses = mass_table(recipe)
     ratios = concentrations(masses)
 
     gel_raw = np.array([ratios.get(name, 0.0) for name in GEL_NAMES])

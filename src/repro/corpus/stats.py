@@ -33,10 +33,9 @@ class CorpusStats:
     def from_recipes(
         cls,
         recipes: Iterable[Recipe],
-        tokenizer: Tokenizer | None = None,
         top: int = 15,
     ) -> "CorpusStats":
-        tokenizer = tokenizer or Tokenizer()
+        tokenizer = Tokenizer()
         counts: Counter[str] = Counter()
         n_recipes = 0
         n_tokens = 0

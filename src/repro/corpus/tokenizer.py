@@ -10,10 +10,9 @@ word2vec vocabulary from being dominated by grammar.
 from __future__ import annotations
 
 import re
-from typing import Iterable
 
 #: Romanised Japanese particles and recipe boilerplate.
-DEFAULT_STOPWORDS: frozenset[str] = frozenset(
+STOPWORDS: frozenset[str] = frozenset(
     {
         "no", "wa", "ga", "wo", "ni", "de", "to", "mo", "ya", "ne", "yo",
         "na", "e", "kara", "made", "desu", "masu", "shita", "suru", "naru",
@@ -21,42 +20,27 @@ DEFAULT_STOPWORDS: frozenset[str] = frozenset(
     }
 )
 
+#: Shortest token kept: drops stray single letters from unit
+#: abbreviations.
+MIN_LENGTH = 2
+
 
 class Tokenizer:
-    """Regex word tokenizer with lower-casing and stopword removal.
-
-    Parameters
-    ----------
-    stopwords:
-        Tokens to drop; defaults to :data:`DEFAULT_STOPWORDS`. Pass an
-        empty set to keep everything.
-    min_length:
-        Minimum surviving token length (default 2 — drops stray single
-        letters from unit abbreviations).
-    """
+    """Regex word tokenizer: lower-cases, then drops numbers, tokens
+    shorter than :data:`MIN_LENGTH` and :data:`STOPWORDS`."""
 
     _WORD = re.compile(r"[a-zA-Z_]+|\d+(?:\.\d+)?")
-
-    def __init__(
-        self,
-        stopwords: Iterable[str] = DEFAULT_STOPWORDS,
-        min_length: int = 2,
-        keep_numbers: bool = False,
-    ) -> None:
-        self.stopwords = frozenset(s.lower() for s in stopwords)
-        self.min_length = min_length
-        self.keep_numbers = keep_numbers
 
     def tokenize(self, text: str) -> list[str]:
         """Tokens of ``text``, lower-cased, stopwords removed."""
         tokens = []
         for raw in self._WORD.findall(text or ""):
             token = raw.lower()
-            if not self.keep_numbers and token[0].isdigit():
+            if token[0].isdigit():
                 continue
-            if len(token) < self.min_length:
+            if len(token) < MIN_LENGTH:
                 continue
-            if token in self.stopwords:
+            if token in STOPWORDS:
                 continue
             tokens.append(token)
         return tokens

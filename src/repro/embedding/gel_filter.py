@@ -14,16 +14,28 @@ set.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.embedding.skipgram import SkipGramConfig, SkipGramModel
+from repro.errors import NotFittedError
 from repro.lexicon.dictionary import TextureDictionary
 from repro.rng import RngLike
 from repro.synth.ingredients import TOPPING_INGREDIENTS
 
 #: Ingredient tokens whose presence in a term's neighbourhood marks the
 #: term as describing a topping rather than the gel.
-DEFAULT_ANCHORS: frozenset[str] = frozenset(TOPPING_INGREDIENTS)
+ANCHORS: frozenset[str] = frozenset(TOPPING_INGREDIENTS)
+
+#: A term is excluded only when the association holds in both
+#: directions: an anchor appears among the term's ``TOP_K`` neighbours
+#: *and* the term appears among some anchor's ``ANCHOR_TOP_K``
+#: neighbours. Rare texture terms have noisy vectors, so the
+#: one-directional rule the paper sketches over-fires on them; anchors
+#: are frequent ingredients whose neighbourhoods are reliable, and
+#: requiring reciprocity restores precision without losing the crispy
+#: family.
+TOP_K = 15
+ANCHOR_TOP_K = 25
 
 
 @dataclass
@@ -40,28 +52,15 @@ class FilterReport:
 
 
 class GelRelatednessFilter:
-    """word2vec-neighbourhood exclusion of gel-unrelated texture terms."""
+    """word2vec-neighbourhood exclusion of gel-unrelated texture terms.
 
-    def __init__(
-        self,
-        anchors: Iterable[str] = DEFAULT_ANCHORS,
-        top_k: int = 15,
-        anchor_top_k: int = 25,
-        mutual: bool = True,
-        config: SkipGramConfig | None = None,
-    ) -> None:
-        self.anchors = frozenset(anchors)
-        self.top_k = top_k
-        self.anchor_top_k = anchor_top_k
-        #: With ``mutual=True`` (default) a term is excluded only when the
-        #: association holds in both directions: an anchor appears among
-        #: the term's ``top_k`` neighbours *and* the term appears among
-        #: some anchor's ``anchor_top_k`` neighbours. Rare texture terms
-        #: have noisy vectors, so the one-directional rule the paper
-        #: sketches over-fires on them; anchors are frequent ingredients
-        #: whose neighbourhoods are reliable, and requiring reciprocity
-        #: restores precision without losing the crispy family.
-        self.mutual = mutual
+    The rule is fixed by :data:`ANCHORS`, :data:`TOP_K` and
+    :data:`ANCHOR_TOP_K`; ``config`` sets only how the skip-gram model
+    trains (the pipeline passes the ``DEFAULT_W2V_CONFIG`` its gel-filter
+    stage fingerprints).
+    """
+
+    def __init__(self, config: SkipGramConfig | None = None) -> None:
         self.config = config or SkipGramConfig()
         self.model: SkipGramModel | None = None
 
@@ -76,23 +75,22 @@ class GelRelatednessFilter:
         """Decide, for every in-vocabulary dictionary term, whether its
         embedding neighbourhood anchors it to a gel-unrelated ingredient."""
         if self.model is None or self.model.vocab is None:
-            raise RuntimeError("filter not fitted; call fit() first")
+            raise NotFittedError("gel filter")
         anchor_neighbourhoods: set[str] = set()
-        if self.mutual:
-            for anchor in self.anchors:
-                if anchor in self.model.vocab:
-                    anchor_neighbourhoods.update(
-                        token
-                        for token, _ in self.model.most_similar(
-                            anchor, self.anchor_top_k
-                        )
-                    )
+        for anchor in ANCHORS:
+            if anchor in self.model.vocab:
+                anchor_neighbourhoods.update(
+                    token
+                    for token, _ in self.model.most_similar(anchor, ANCHOR_TOP_K)
+                )
         surfaces = set(dictionary.surfaces)
         report = FilterReport()
         for term in dictionary:
             if term.surface not in self.model.vocab:
                 continue
             report.examined += 1
+            if term.surface not in anchor_neighbourhoods:
+                continue  # not reciprocal (see TOP_K)
             # The paper's criterion is "similar words include *ingredient
             # terms*" — other texture terms are not evidence either way,
             # and on a large corpus a term's nearest neighbours are its
@@ -100,14 +98,10 @@ class GelRelatednessFilter:
             # of any fixed-k window. Rank among non-dictionary tokens.
             candidates = [
                 token
-                for token, _ in self.model.most_similar(
-                    term.surface, self.top_k * 5
-                )
+                for token, _ in self.model.most_similar(term.surface, TOP_K * 5)
                 if token not in surfaces
-            ][: self.top_k]
-            hits = [t for t in candidates if t in self.anchors]
-            if self.mutual and term.surface not in anchor_neighbourhoods:
-                hits = []
+            ][:TOP_K]
+            hits = [t for t in candidates if t in ANCHORS]
             if hits:
                 report.excluded.add(term.surface)
                 report.evidence[term.surface] = hits

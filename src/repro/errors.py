@@ -26,14 +26,6 @@ class UnitConversionError(ReproError, ValueError):
     """A quantity could not be converted to grams (e.g. unknown density)."""
 
 
-class UnknownIngredientError(ReproError, KeyError):
-    """An ingredient name is absent from the catalogue or gravity table."""
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        super().__init__(f"unknown ingredient: {name!r}")
-
-
 class UnknownTermError(ReproError, KeyError):
     """A texture term is not present in the dictionary."""
 

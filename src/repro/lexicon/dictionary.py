@@ -17,7 +17,7 @@ from typing import Iterable, Iterator, Sequence
 
 from repro.errors import DictionaryError, UnknownTermError
 from repro.lexicon.base_terms import ALL_BASES
-from repro.lexicon.categories import SensoryAxis, TextureCategory
+from repro.lexicon.categories import SensoryAxis
 from repro.lexicon.paper_terms import PAPER_TERMS
 from repro.lexicon.term import TextureTerm
 from repro.lexicon.variants import expand_all
@@ -72,10 +72,6 @@ class TextureDictionary:
     def get(self, surface: str) -> TextureTerm | None:
         """Like ``dict.get``: the term, or ``None`` when absent."""
         return self._terms.get(surface)
-
-    def terms_in_category(self, category: TextureCategory) -> tuple[TextureTerm, ...]:
-        """Terms the dictionary annotates with ``category``."""
-        return tuple(t for t in self if t.in_category(category))
 
     def gel_related(self) -> tuple[TextureTerm, ...]:
         """Terms describing textures gels can realise."""

@@ -72,7 +72,10 @@ _ARRAY_FIELDS = (
 #: Config keys dropped on load: fields a later release retired, which
 #: older archives still carry, and ``n_workers``, which records how a
 #: fit ran rather than what it fitted (older archives hold null there).
-_DROPPED_CONFIG_KEYS = frozenset({"n_shards", "backend", "n_workers"})
+_DROPPED_CONFIG_KEYS = frozenset({
+    "n_shards", "backend", "n_workers",
+    "use_emulsions", "seed_y_with_kmeans", "cache_y_densities",
+})
 
 #: Tags identifying the model class inside a v2 archive.
 _MODEL_TAG_JOINT = "gibbs"

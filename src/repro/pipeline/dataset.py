@@ -130,9 +130,7 @@ class DatasetBuilder:
         if self.deduplicate:
             from repro.corpus.dedup import RecipeDeduplicator
 
-            deduplicator = RecipeDeduplicator(
-                threshold=self.dedup_threshold, tokenizer=self.tokenizer
-            )
+            deduplicator = RecipeDeduplicator(threshold=self.dedup_threshold)
             unique = deduplicator.deduplicate(recipes)
             n_duplicates = len(recipes) - len(unique)
             recipes = unique
@@ -158,9 +156,7 @@ class DatasetBuilder:
         builder reports each build's own funnel instead of a running
         total.
         """
-        extractor = TextureTermExtractor(
-            self.dictionary, self.tokenizer, excluded=excluded
-        )
+        extractor = TextureTermExtractor(self.dictionary, excluded=excluded)
         dataset_filter = DatasetFilter()
         unparseable = 0
         kept: list[RecipeFeatures] = []

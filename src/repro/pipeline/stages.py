@@ -78,7 +78,6 @@ def make_model(config: Any) -> Any:
                 alpha=config.model.alpha,
                 gamma=config.model.gamma,
                 kappa=config.model.kappa,
-                seed_y_with_kmeans=config.model.seed_y_with_kmeans,
             )
         )
     from repro.errors import ExperimentError

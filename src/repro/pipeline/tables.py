@@ -18,7 +18,6 @@ from repro.pipeline.experiment import ExperimentResult
 from repro.rheology.attributes import TextureProfile
 from repro.rheology.gel_system import GEL_NAMES, GelSystemModel
 from repro.rheology.studies import DISH_STUDIES, TABLE_I, DishStudy, EmpiricalSetting
-from repro.rng import RngLike
 
 
 # --------------------------------------------------------------------------
@@ -41,13 +40,11 @@ class Table1Row:
         return self.setting.texture
 
 
-def table1_rows(
-    model: GelSystemModel | None = None, rng: RngLike = None
-) -> list[Table1Row]:
+def table1_rows(model: GelSystemModel | None = None) -> list[Table1Row]:
     """Simulate every Table I setting through the two-bite rheometer."""
     model = model or GelSystemModel()
     return [
-        Table1Row(setting=s, simulated=model.measure(s.composition(), rng=rng))
+        Table1Row(setting=s, simulated=model.measure(s.composition()))
         for s in TABLE_I
     ]
 

@@ -40,7 +40,6 @@ from repro.errors import RheologyError
 from repro.rheology.attributes import TextureProfile
 from repro.rheology.material import MaterialParameters
 from repro.rheology.rheometer import Rheometer
-from repro.rng import RngLike
 
 #: Canonical gel order used by every concentration vector in the package.
 GEL_NAMES: tuple[str, ...] = ("gelatin", "kanten", "agar")
@@ -294,11 +293,11 @@ class GelSystemModel:
             springiness=float(np.clip(0.4 + 0.6 * recovery, 0.0, 1.0)),
         )
 
-    def measure(self, composition: Composition, rng: RngLike = None) -> TextureProfile:
+    def measure(self, composition: Composition) -> TextureProfile:
         """Texture profile obtained *through the simulated instrument*.
 
         Unlike :meth:`profile` this runs the full two-bite measurement and
         numerically extracts F1 / c/a / negative area, so it inherits the
         discretisation and extraction behaviour of a real rheometer.
         """
-        return self.rheometer.measure(self.material(composition), rng=rng)
+        return self.rheometer.measure(self.material(composition))

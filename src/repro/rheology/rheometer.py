@@ -30,7 +30,6 @@ from repro.errors import RheologyError
 from repro.rheology.attributes import TextureProfile
 from repro.rheology.material import MaterialParameters
 from repro.rheology.ru import REFERENCE_PROBE_AREA_M2
-from repro.rng import RngLike, ensure_rng
 
 #: Fraction of the yield-point stress the fractured network retains.
 _FRACTURE_RESIDUAL = 0.6
@@ -131,8 +130,9 @@ class Rheometer:
         Sampling resolution of the force transducer.
     probe_area_m2:
         Probe disc area; defaults to the RU reference plunger.
-    noise_ru:
-        Standard deviation of additive transducer noise, in RU.
+
+    The transducer is noise-free, so a measurement is a pure function of
+    the material (Table I is simulated this way).
     """
 
     def __init__(
@@ -141,7 +141,6 @@ class Rheometer:
         stroke_seconds: float = 1.0,
         samples_per_stroke: int = 250,
         probe_area_m2: float = REFERENCE_PROBE_AREA_M2,
-        noise_ru: float = 0.0,
     ) -> None:
         if not 0.05 <= strain_max <= 0.95:
             raise RheologyError(f"strain_max out of range: {strain_max}")
@@ -151,7 +150,6 @@ class Rheometer:
         self.stroke_seconds = stroke_seconds
         self.samples_per_stroke = samples_per_stroke
         self.probe_area_m2 = probe_area_m2
-        self.noise_ru = noise_ru
 
     # -- stress model ---------------------------------------------------
 
@@ -193,7 +191,7 @@ class Rheometer:
 
     # -- the measurement --------------------------------------------------
 
-    def run(self, material: MaterialParameters, rng: RngLike = None) -> TPACurve:
+    def run(self, material: MaterialParameters) -> TPACurve:
         """Run a two-bite measurement and return the force-time curve."""
         n = self.samples_per_stroke
         dt = self.stroke_seconds / n
@@ -227,16 +225,13 @@ class Rheometer:
             bites.append(np.full(2 * n, bite_index))
             t0 = float(time[-1]) + dt
 
-        force = np.concatenate(forces)
-        if self.noise_ru > 0.0:
-            force = force + ensure_rng(rng).normal(0.0, self.noise_ru, len(force))
         return TPACurve(
             time=np.concatenate(times),
-            force=force,
+            force=np.concatenate(forces),
             strain=np.concatenate(strains),
             bite=np.concatenate(bites),
         )
 
-    def measure(self, material: MaterialParameters, rng: RngLike = None) -> TextureProfile:
+    def measure(self, material: MaterialParameters) -> TextureProfile:
         """Run a measurement and extract the texture profile."""
-        return self.run(material, rng=rng).extract()
+        return self.run(material).extract()

@@ -48,7 +48,6 @@ from repro.errors import (
     ServeError,
     UnitConversionError,
     UnitParseError,
-    UnknownIngredientError,
     UnknownTermError,
 )
 from repro.obs import metrics, prom, trace
@@ -87,7 +86,6 @@ _STATUS_BY_FAMILY: tuple[tuple[type[ReproError], int], ...] = (
     (BadRequestError, 400),
     (UnitParseError, 400),
     (UnitConversionError, 400),
-    (UnknownIngredientError, 400),
     (UnknownTermError, 404),
     # service fault: store/bundle unavailability is retryable
     (ServeError, 503),

@@ -28,9 +28,7 @@ from repro.units.quantity import Quantity, Unit, UnitKind
 ABSENT_CONCENTRATION = 1e-6
 
 
-def to_grams(
-    quantity: Quantity, ingredient: str, strict: bool = False
-) -> float:
+def to_grams(quantity: Quantity, ingredient: str) -> float:
     """Convert ``quantity`` of ``ingredient`` to grams.
 
     Volume units use the ingredient's specific gravity; counted units use
@@ -38,7 +36,7 @@ def to_grams(
     :class:`~repro.errors.UnitConversionError` when a counted unit has no
     known per-item mass for the ingredient.
     """
-    physics = physics_of(ingredient, strict=strict)
+    physics = physics_of(ingredient)
     kind = quantity.unit.kind
     if kind is UnitKind.MASS:
         return quantity.amount * quantity.unit.factor

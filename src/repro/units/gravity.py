@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import UnknownIngredientError
-
 
 @dataclass(frozen=True)
 class IngredientPhysics:
@@ -93,22 +91,16 @@ PHYSICS_TABLE: dict[str, IngredientPhysics] = {
     )
 }
 
-#: Specific gravity applied when an ingredient is unknown and ``strict``
-#: conversion is off: water-equivalent, as the paper's fallback.
+#: Physics of an ingredient missing from :data:`PHYSICS_TABLE`:
+#: water-equivalent, as the paper's fallback.
 WATER_EQUIVALENT = IngredientPhysics(name="<water-equivalent>", specific_gravity=1.0)
 
 
-def physics_of(ingredient: str, strict: bool = False) -> IngredientPhysics:
+def physics_of(ingredient: str) -> IngredientPhysics:
     """Return physics for ``ingredient``.
 
-    With ``strict=True`` an unknown ingredient raises
-    :class:`~repro.errors.UnknownIngredientError`; otherwise the
-    water-equivalent fallback is returned (counted units still fail,
-    since pieces of an unknown ingredient have no defensible mass).
+    An unknown ingredient gets the water-equivalent fallback (counted
+    units still fail, since pieces of an unknown ingredient have no
+    defensible mass).
     """
-    entry = PHYSICS_TABLE.get(ingredient)
-    if entry is not None:
-        return entry
-    if strict:
-        raise UnknownIngredientError(ingredient)
-    return WATER_EQUIVALENT
+    return PHYSICS_TABLE.get(ingredient, WATER_EQUIVALENT)

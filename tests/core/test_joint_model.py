@@ -126,26 +126,6 @@ class TestDeterminism:
         assert np.allclose(a.phi_, b.phi_)
         assert np.array_equal(a.y_, b.y_)
 
-    def test_y_density_cache_bit_identical(self, rng):
-        """The membership-keyed posterior cache is pure memoisation:
-        every field of the fit must match the uncached path bitwise."""
-        docs, gels, emulsions, _ = synthetic_joint_data(rng, n_docs=30)
-        fits = {}
-        for cache in (True, False):
-            config = JointModelConfig(
-                n_topics=3, n_sweeps=12, burn_in=6, thin=2,
-                cache_y_densities=cache,
-            )
-            fits[cache] = JointTextureTopicModel(config).fit(
-                docs, gels, emulsions, 9, rng=5
-            )
-        a, b = fits[True], fits[False]
-        assert np.array_equal(a.phi_, b.phi_)
-        assert np.array_equal(a.theta_, b.theta_)
-        assert np.array_equal(a.y_, b.y_)
-        assert np.array_equal(a.gel_means_, b.gel_means_)
-        assert a.log_likelihoods_ == b.log_likelihoods_
-
 
 class TestRestarts:
     def test_invalid_count_rejected(self):
@@ -154,12 +134,9 @@ class TestRestarts:
 
     def test_restarts_pick_best_chain(self, rng):
         docs, gels, emulsions, _ = synthetic_joint_data(rng, n_docs=45)
-        single = JointModelConfig(
-            n_topics=3, n_sweeps=16, burn_in=8, thin=2, seed_y_with_kmeans=False
-        )
+        single = JointModelConfig(n_topics=3, n_sweeps=16, burn_in=8, thin=2)
         multi = JointModelConfig(
-            n_topics=3, n_sweeps=16, burn_in=8, thin=2,
-            seed_y_with_kmeans=False, n_restarts=4,
+            n_topics=3, n_sweeps=16, burn_in=8, thin=2, n_restarts=4
         )
         one = JointTextureTopicModel(single).fit(docs, gels, emulsions, 9, rng=2)
         best = JointTextureTopicModel(multi).fit(docs, gels, emulsions, 9, rng=2)
@@ -227,6 +204,26 @@ class TestSerialRegression:
     def test_hard_assignments_pinned(self, pinned):
         assert pinned.y_.tolist() == [2, 0, 1] * 15
 
+    def test_moving_documents_pinned(self):
+        """Four topics on three clusters: documents move between the two
+        topics that share a cluster, so the membership-keyed posterior
+        cache is invalidated. Captured where the cache could still be
+        switched off, after checking both fits agreed bitwise."""
+        rng = ensure_rng(0)
+        docs, gels, emulsions, _ = synthetic_joint_data(rng, n_docs=45)
+        config = JointModelConfig(n_topics=4, n_sweeps=20, burn_in=10, thin=2)
+        model = JointTextureTopicModel(config).fit(
+            docs, gels, emulsions, 9, rng=1234
+        )
+        assert model.log_likelihoods_[-1] == pytest.approx(
+            -384.71776495891015, rel=1e-9
+        )
+        assert model.gel_means_[0] == pytest.approx(
+            [9.991378720248864, 6.1308083885257085, 13.156957003459212],
+            rel=1e-9,
+        )
+        assert model.y_.tolist() == [2, 3, 1] * 15
+
     def test_restart_selection_pinned(self):
         rng = ensure_rng(0)
         docs, gels, emulsions, _ = synthetic_joint_data(rng, n_docs=45)
@@ -281,23 +278,3 @@ class TestBackends:
         assert model.fit_seconds_ is not None and model.fit_seconds_ > 0
         assert len(model.restart_seconds_) == 2
         assert all(s > 0 for s in model.restart_seconds_)
-
-
-class TestOptions:
-    def test_without_emulsions(self, rng):
-        docs, gels, emulsions, truth = synthetic_joint_data(rng, n_docs=45)
-        config = JointModelConfig(
-            n_topics=3, n_sweeps=30, burn_in=15, use_emulsions=False
-        )
-        model = JointTextureTopicModel(config).fit(docs, gels, emulsions, 9, rng=2)
-        from repro.eval.metrics import normalized_mutual_information
-
-        assert normalized_mutual_information(model.topic_assignments(), truth) > 0.7
-
-    def test_without_kmeans_seed(self, rng):
-        docs, gels, emulsions, _ = synthetic_joint_data(rng, n_docs=30)
-        config = JointModelConfig(
-            n_topics=3, n_sweeps=12, burn_in=6, seed_y_with_kmeans=False
-        )
-        model = JointTextureTopicModel(config).fit(docs, gels, emulsions, 9, rng=2)
-        assert model.theta_ is not None

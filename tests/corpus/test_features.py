@@ -35,6 +35,20 @@ class TestMassTable:
         assert masses["gelatin"] == pytest.approx(6.0)
         assert masses["water"] == pytest.approx(264.0)
 
+    def test_to_taste_is_one_pinch(self):
+        """A "to taste" amount weighs one pinch (0.6 mL); an ingredient
+        missing from the physics table converts at water's density."""
+        recipe = make_recipe(
+            ingredients=(
+                Ingredient("water", "200 ml"),
+                Ingredient("salt", "tekiryou"),
+                Ingredient("dragonfruit", "to taste"),
+            )
+        )
+        masses = mass_table(recipe)
+        assert masses["salt"] == pytest.approx(0.6 * 1.2)
+        assert masses["dragonfruit"] == pytest.approx(0.6)
+
     def test_unparseable_raises(self):
         recipe = make_recipe(
             ingredients=(Ingredient("water", "some amount"),)

@@ -1,6 +1,6 @@
 """Tests for repro.corpus.tokenizer."""
 
-from repro.corpus.tokenizer import DEFAULT_STOPWORDS, Tokenizer
+from repro.corpus.tokenizer import STOPWORDS, Tokenizer
 
 
 class TestTokenize:
@@ -17,24 +17,12 @@ class TestTokenize:
     def test_numbers_dropped_by_default(self):
         assert Tokenizer().tokenize("200 ml mizu") == ["ml", "mizu"]
 
-    def test_numbers_kept_when_asked(self):
-        tokens = Tokenizer(keep_numbers=True, min_length=1).tokenize("200 ml")
-        assert "200" in tokens
-
     def test_min_length(self):
-        assert Tokenizer(min_length=3).tokenize("no ga purupuru") == ["purupuru"]
+        assert Tokenizer().tokenize("x purupuru g") == ["purupuru"]
 
     def test_empty_input(self):
         assert Tokenizer().tokenize("") == []
         assert Tokenizer().tokenize(None) == []  # type: ignore[arg-type]
-
-    def test_custom_stopwords(self):
-        tok = Tokenizer(stopwords={"zerii"})
-        assert tok.tokenize("purupuru no zerii") == ["purupuru", "no"]
-
-    def test_no_stopwords(self):
-        tok = Tokenizer(stopwords=(), min_length=1)
-        assert "no" in tok.tokenize("purupuru no zerii")
 
     def test_callable(self):
         tok = Tokenizer()
@@ -43,4 +31,4 @@ class TestTokenize:
 
 def test_default_stopwords_are_particles():
     for particle in ("no", "wa", "ga", "wo", "ni", "desu"):
-        assert particle in DEFAULT_STOPWORDS
+        assert particle in STOPWORDS

@@ -129,21 +129,6 @@ class TestSpringiness:
         )
 
 
-class TestNoise:
-    def test_noise_perturbs_but_preserves_shape(self):
-        noisy = Rheometer(noise_ru=0.05)
-        material = MaterialParameters(modulus_kpa=3.0, recovery=0.5)
-        a = noisy.measure(material, rng=1)
-        b = noisy.measure(material, rng=2)
-        assert a.hardness != b.hardness
-        assert a.hardness == pytest.approx(b.hardness, rel=0.2)
-
-    def test_noise_deterministic_per_seed(self):
-        noisy = Rheometer(noise_ru=0.05)
-        material = MaterialParameters(modulus_kpa=3.0)
-        assert noisy.measure(material, rng=7) == noisy.measure(material, rng=7)
-
-
 class TestValidation:
     def test_bad_strain_rejected(self):
         with pytest.raises(RheologyError):

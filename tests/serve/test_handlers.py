@@ -13,8 +13,8 @@ from repro.errors import (
     BadRequestError,
     ModelError,
     ServeError,
+    UnitConversionError,
     UnitParseError,
-    UnknownIngredientError,
     UnknownTermError,
 )
 from repro.serve import ServeApp, make_server, run_server, status_of
@@ -41,7 +41,7 @@ class TestStatusOf:
         [
             (BadRequestError("x"), 400),
             (UnitParseError("x"), 400),
-            (UnknownIngredientError("x"), 400),
+            (UnitConversionError("x"), 400),
             (UnknownTermError("x"), 404),
             (ServeError("x"), 503),
             (ArtifactError("x"), 503),

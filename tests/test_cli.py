@@ -28,6 +28,11 @@ class TestParsing:
             ["report", "{tmp}", "--recipes", "0"],
             ["search", "purupuru", "--recipes", "120", "--top", "0"],
             ["search", "purupuru", "--recipes", "120", "--top", "-2"],
+            ["rules", "--recipes", "120", "--limit", "0"],
+            ["rules", "--recipes", "120", "--limit", "-2"],
+            ["trace", "flame", "{tmp}", "--limit", "0"],
+            ["trace", "flame", "{tmp}", "--limit", "-2"],
+            ["pipeline", "--recipes", "120", "--restarts", "0"],
         ],
         ids=lambda argv: f"{argv[0]}{argv[-2]}={argv[-1]}",
     )
@@ -37,7 +42,8 @@ class TestParsing:
             main(argv)
         assert exit_info.value.code == 2
         err = capsys.readouterr().err
-        assert "must be >= 1" in err
+        [error_line] = [line for line in err.splitlines() if "error:" in line]
+        assert "must be >= 1" in error_line
         assert "Traceback" not in err
 
 
@@ -404,17 +410,17 @@ class TestServeCli:
         assert "no fitted runs" in capsys.readouterr().err
 
     def test_too_few_sweeps_rejected(self, capsys, tmp_path):
-        cache = str(tmp_path / "store")
-        assert main(
-            ["run", "--recipes", "250", "--sweeps", "20", "--seed", "3",
-             "--cache-dir", cache]
-        ) == 0
-        capsys.readouterr()
-        code = main(
-            ["serve", "--cache-dir", cache, "--fold-in-sweeps", "2"]
-        )
-        assert code == 2
-        assert "fold-in-sweeps" in capsys.readouterr().err
+        """Rejected while parsing, before any store is opened."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(
+                ["serve", "--cache-dir", str(tmp_path / "void"),
+                 "--fold-in-sweeps", "2"]
+            )
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        [error_line] = [line for line in err.splitlines() if "error:" in line]
+        assert "--fold-in-sweeps: must be >= 3, got 2" in error_line
+        assert "Traceback" not in err
 
 
 class TestServePort:

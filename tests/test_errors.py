@@ -8,7 +8,6 @@ from repro import errors
 ALL_ERRORS = [
     errors.UnitParseError,
     errors.UnitConversionError,
-    errors.UnknownIngredientError,
     errors.UnknownTermError,
     errors.DictionaryError,
     errors.CorpusError,
@@ -35,12 +34,6 @@ def test_unit_parse_error_carries_text():
 
 def test_unit_parse_error_is_value_error():
     assert issubclass(errors.UnitParseError, ValueError)
-
-
-def test_unknown_ingredient_is_key_error():
-    err = errors.UnknownIngredientError("unobtainium")
-    assert isinstance(err, KeyError)
-    assert err.name == "unobtainium"
 
 
 def test_unknown_term_carries_surface():

@@ -194,17 +194,52 @@ class TestCorruptArchives:
     @pytest.mark.parametrize("version", [1, 2])
     def test_retired_n_shards_key_loads(self, fitted_joint, tmp_path, version):
         """Archives written while the model configs had an ``n_shards``
-        field carry ``"n_shards": null``, and those written while they
-        had a ``backend`` field and a nullable ``n_workers`` carry
-        ``"backend": "serial", "n_workers": null``; they must keep
-        loading."""
+        field carry ``"n_shards": null``, those written while they had a
+        ``backend`` field and a nullable ``n_workers`` carry ``"backend":
+        "serial", "n_workers": null``, and those written while the
+        samplers had their emulsion, seeding and density-cache switches
+        carry ``use_emulsions``, ``seed_y_with_kmeans`` and
+        ``cache_y_densities``; they must keep loading."""
         header = self._saved_header(fitted_joint, tmp_path, version)
-        header["config"].update(n_shards=None, backend="serial", n_workers=None)
+        header["config"].update(
+            n_shards=None, backend="serial", n_workers=None,
+            use_emulsions=True, seed_y_with_kmeans=True, cache_y_densities=True,
+        )
         path = tmp_path / "m.npz"
         _write_with_header(path, header, self._arrays(fitted_joint))
         model, _ = load_model(path)
         assert model.config == fitted_joint.config
         assert np.array_equal(model.phi_, fitted_joint.phi_)
+
+    def test_retired_vb_seeding_key_loads(self, tiny_dataset, tmp_path):
+        """VB archives written while ``VariationalConfig`` had a
+        ``seed_y_with_kmeans`` field carry it; they must keep loading."""
+        from repro.core.variational import (
+            VariationalConfig,
+            VariationalJointModel,
+        )
+
+        model = VariationalJointModel(
+            VariationalConfig(n_topics=4, max_iter=10)
+        ).fit(
+            list(tiny_dataset.docs),
+            tiny_dataset.gel_log,
+            tiny_dataset.emulsion_log,
+            tiny_dataset.vocab_size,
+            rng=3,
+        )
+        saved = save_model(model, tmp_path / "saved.npz")
+        with np.load(saved, allow_pickle=False) as archive:
+            arrays = {name: archive[name] for name in archive.files}
+        header = _header_of(saved)
+        header["config"]["seed_y_with_kmeans"] = True
+        del arrays["header"]
+        path = tmp_path / "v.npz"
+        _write_with_header(path, header, arrays)
+        loaded, _ = load_model(path)
+        assert type(loaded) is VariationalJointModel
+        assert loaded.config == model.config
+        assert np.array_equal(loaded.theta_, model.theta_)
 
     @pytest.mark.parametrize("version", [1, 2])
     def test_unknown_config_key(self, fitted_joint, tmp_path, version):

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.errors import UnknownIngredientError
 from repro.units.gravity import (
     PHYSICS_TABLE,
     WATER_EQUIVALENT,
@@ -40,11 +39,6 @@ def test_paper_emulsions_present():
 
 def test_unknown_lenient_falls_back_to_water():
     assert physics_of("dragonfruit") is WATER_EQUIVALENT
-
-
-def test_unknown_strict_raises():
-    with pytest.raises(UnknownIngredientError):
-        physics_of("dragonfruit", strict=True)
 
 
 def test_all_gravities_positive():
