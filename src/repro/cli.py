@@ -85,7 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pipeline = sub.add_parser("pipeline", help="full pipeline + main tables")
     pipeline.add_argument("--recipes", type=int, action=_int_in(1), default=1500)
-    pipeline.add_argument("--sweeps", type=int, default=300)
+    pipeline.add_argument("--sweeps", type=int, action=_int_in(1), default=300)
     pipeline.add_argument("--seed", type=int, default=11)
     pipeline.add_argument(
         "--method",
@@ -96,7 +96,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pipeline.add_argument("--restarts", type=int, action=_int_in(1), default=1,
                           help="independent Gibbs chains; best one wins")
     pipeline.add_argument(
-        "--workers", type=int, default=1,
+        "--workers", type=int, action=_int_in(1), default=1,
         help="processes sharing the --restarts chains (results do not "
              "depend on it; default: 1, a loop in this process)",
     )
@@ -105,7 +105,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     figures = sub.add_parser("figures", help="Fig 3 and Fig 4 series")
     figures.add_argument("--recipes", type=int, action=_int_in(1), default=1500)
-    figures.add_argument("--sweeps", type=int, default=300)
+    figures.add_argument("--sweeps", type=int, action=_int_in(1), default=300)
     figures.add_argument("--seed", type=int, default=11)
     _add_kernel_flag(figures)
     _add_cache_flags(figures)
@@ -115,7 +115,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="run the staged pipeline and print stage provenance",
     )
     run.add_argument("--recipes", type=int, action=_int_in(1), default=1500)
-    run.add_argument("--sweeps", type=int, default=300)
+    run.add_argument("--sweeps", type=int, action=_int_in(1), default=300)
     run.add_argument("--seed", type=int, default=11)
     run.add_argument(
         "--method",
@@ -314,7 +314,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     report.add_argument("directory")
     report.add_argument("--recipes", type=int, action=_int_in(1), default=1500)
-    report.add_argument("--sweeps", type=int, default=300)
+    report.add_argument("--sweeps", type=int, action=_int_in(1), default=300)
     report.add_argument("--seed", type=int, default=11)
     _add_kernel_flag(report)
     _add_cache_flags(report)

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
 from repro.core import normal_wishart as nw
 from repro.core.joint_model import JointModelConfig, fit_best_chain
@@ -106,6 +105,9 @@ class _BatchedStudentT:
     """
 
     def __init__(self, prior: NormalWishartPrior, n_topics: int) -> None:
+        from scipy.special import gammaln
+
+        self._gammaln = gammaln
         self.prior = prior
         self._prior_scale_inv = guarded_inv(prior.scale)
         d = prior.dim
@@ -191,6 +193,7 @@ class _BatchedStudentT:
         )
         self._means[k] = mean_c
         self._dof_t[k] = float(dof_t)
+        gammaln = self._gammaln
         self._norm[k] = float(
             gammaln((dof_t + d) / 2.0)
             - gammaln(dof_t / 2.0)
@@ -281,6 +284,8 @@ class CollapsedJointModel:
         vocab_size: int,
         rng: RngLike = None,
     ) -> "CollapsedJointModel":
+        from scipy.special import logsumexp
+
         cfg = self.config
         generator = ensure_rng(rng)
         gels = np.asarray(gels, dtype=float)

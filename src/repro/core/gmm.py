@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from repro.core import normal_wishart as nw
 from repro.core.linalg import guarded_inv
@@ -62,6 +61,8 @@ class BayesianGaussianMixture:
         prior: NormalWishartPrior | None = None,
     ) -> "BayesianGaussianMixture":
         """Cluster the rows of ``data``."""
+        from scipy.special import logsumexp
+
         cfg = self.config
         generator = ensure_rng(rng)
         data = np.asarray(data, dtype=float)
@@ -81,16 +82,13 @@ class BayesianGaussianMixture:
         self.log_likelihoods_ = []
 
         for sweep in range(cfg.n_sweeps):
-            params = [
-                nw.sample(nw.posterior(prior, data[labels == k]), generator)
-                for k in range(k_range)
-            ]
+            params = nw.sample(
+                [nw.posterior(prior, data[labels == k]) for k in range(k_range)],
+                generator,
+            )
             counts = np.bincount(labels, minlength=k_range)
             log_weights = np.log(counts + alpha) - np.log(n + alpha.sum())  # repro: noqa[NUM002] - counts/n >= 0 and alpha > 0 (DirichletPrior)
-            log_density = np.column_stack(
-                [params[k].log_density(data) for k in range(k_range)]
-            )
-            logits = log_weights + log_density
+            logits = log_weights + nw.batch_log_density(params, data)
             norms = logsumexp(logits, axis=1, keepdims=True)
             probs = np.exp(logits - norms)
             self.log_likelihoods_.append(float(norms.sum()))
@@ -100,9 +98,8 @@ class BayesianGaussianMixture:
                 (cumulative < draws[:, None]).sum(axis=1), k_range - 1
             ).astype(np.int64)
             if sweep >= cfg.burn_in and (sweep - cfg.burn_in) % cfg.thin == 0:
-                for k in range(k_range):
-                    mean_acc[k] += params[k].mean
-                    cov_acc[k] += params[k].covariance
+                mean_acc += params.means
+                cov_acc += guarded_inv(params.precisions)
                 weight_acc += (counts + alpha) / (n + alpha.sum())
                 votes[np.arange(n), labels] += 1
                 n_samples += 1

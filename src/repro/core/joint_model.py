@@ -27,11 +27,11 @@ from dataclasses import dataclass, field
 from typing import Any, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from repro.core import normal_wishart as nw
 from repro.core.kernels import KERNEL_CHOICES, CSRTokens, make_kernel
 from repro.core.lda import word_log_likelihood
+from repro.core.linalg import guarded_inv
 from repro.core.priors import DirichletPrior, NormalWishartPrior
 from repro.core.seeding import kmeans_plus_plus
 from repro.core.state import TopicCounts, initialise_assignments, validate_docs
@@ -255,6 +255,8 @@ class JointTextureTopicModel:
         vocab_size: int,
         rng: RngLike = None,
     ) -> "JointTextureTopicModel":
+        from scipy.special import logsumexp
+
         cfg = self.config
         generator = ensure_rng(rng)
         gels = np.asarray(gels, dtype=float)
@@ -319,16 +321,12 @@ class JointTextureTopicModel:
                 gel_post[k] = nw.posterior(gel_prior, gels[members])
                 emu_post[k] = nw.posterior(emulsion_prior, emulsions[members])
             prev_y = y.copy()
-            gel_params = [
-                nw.sample(gel_post[k], generator) for k in range(k_range)
-            ]
-            emu_params = [
-                nw.sample(emu_post[k], generator) for k in range(k_range)
-            ]
+            gel_params = nw.sample(gel_post, generator)
+            emu_params = nw.sample(emu_post, generator)
             # per-doc Gaussian log-likelihood matrix, fixed for the sweep:
-            # all K topics evaluated in one batched einsum/slogdet. Fig 1
-            # emits both g_d and e_d from y_d, so both channels enter
-            # (equation (3) prints only the gel factor).
+            # all K topics evaluated in one batched einsum. Fig 1 emits
+            # both g_d and e_d from y_d, so both channels enter (equation
+            # (3) prints only the gel factor).
             log_gel = nw.batch_log_density(gel_params, gels)
             log_gel = log_gel + nw.batch_log_density(emu_params, emulsions)
 
@@ -380,11 +378,10 @@ class JointTextureTopicModel:
                 theta_acc += (counts.n_dk + m_dk + alpha) / (
                     counts.n_d[:, None] + 1.0 + alpha.sum()
                 )
-                for k in range(k_range):
-                    gel_mean_acc[k] += gel_params[k].mean
-                    gel_cov_acc[k] += gel_params[k].covariance
-                    emu_mean_acc[k] += emu_params[k].mean
-                    emu_cov_acc[k] += emu_params[k].covariance
+                gel_mean_acc += gel_params.means
+                gel_cov_acc += guarded_inv(gel_params.precisions)
+                emu_mean_acc += emu_params.means
+                emu_cov_acc += guarded_inv(emu_params.precisions)
                 y_votes[np.arange(n_docs), y] += 1
                 n_samples += 1
 

@@ -231,9 +231,12 @@ class DenseKernel(TokenKernel):
     doc rows are stored pre-fused as ``n_dk + α_k`` floats: integer-
     valued doubles below 2**53 stay exact under ±1.0 updates, so the
     fused value equals ``fl(n_dk + α_k)`` bit-for-bit while saving one
-    subscript-and-add per topic per token in the inner loop. Fractional
-    ``α`` falls back to the unfused loop (incremental float updates
-    would not be exact there).
+    subscript-and-add per topic per token in the inner loop. For the
+    same reason the ``M_dk`` term is added to the row at ``y_d`` once per
+    document, not tested for per topic per token. Fractional ``α`` falls
+    back to the unfused loop (incremental float updates would not be
+    exact there, and ``(n + α) + 1`` and ``(n + 1) + α`` can round
+    differently).
     """
 
     name = "dense"
@@ -303,6 +306,12 @@ class DenseKernel(TokenKernel):
             start, end = offsets[d], offsets[d + 1]
             row = ndk[d]
             y_d = -1 if y is None else int(y[d])
+            # The M_dk term: the row holds n_dk + α + 1 at y_d while the
+            # document's tokens are drawn. Its cells are integer-valued,
+            # so this and every ±1.0 below stay exact and the weight is
+            # fl(n_dk + α) + 1.0 bit for bit, as when added per topic.
+            if y_d >= 0:
+                row[y_d] += 1.0
             t = start
             for u in uniforms[start:end]:
                 v = words[t]
@@ -318,10 +327,7 @@ class DenseKernel(TokenKernel):
                 den[k_old] = n + v_total
                 total = 0.0
                 for k in topic_range:
-                    weight = row[k]
-                    if k == y_d:
-                        weight += 1.0  # the M_dk term
-                    total += weight * (fcol[k] / den[k])
+                    total += row[k] * (fcol[k] / den[k])
                     cum[k] = total
                 k_new = bisect_left(cum, u * total)
                 if k_new > last:
@@ -335,6 +341,8 @@ class DenseKernel(TokenKernel):
                 nk[k_new] = n
                 den[k_new] = n + v_total
                 t += 1
+            if y_d >= 0:
+                row[y_d] -= 1.0
 
     def _sweep_unfused(
         self, generator: np.random.Generator, y: np.ndarray | None

@@ -56,7 +56,9 @@ def guarded_inv(
     non-finite entries, the input is symmetrised and ridge-regularised
     with exponentially growing jitter scaled to its mean diagonal; if
     even that fails, the Hermitian pseudo-inverse is returned. Works on
-    a single ``(d, d)`` matrix or a stacked ``(..., d, d)`` batch.
+    a single ``(d, d)`` matrix or a stacked ``(..., d, d)`` batch; a
+    batch the fast path fails on is repaired matrix by matrix, so each
+    result is the one a call on that matrix alone returns.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
@@ -67,6 +69,11 @@ def guarded_inv(
             return out
     except np.linalg.LinAlgError:
         pass
+    if a.ndim > 2:
+        out = np.empty_like(a)
+        for index in np.ndindex(a.shape[:-2]):
+            out[index] = guarded_inv(a[index], jitter, max_tries)
+        return out
     sym = symmetrize(a)
     eye = np.eye(a.shape[-1])
     scale = _diag_scale(sym)

@@ -16,12 +16,10 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
-from scipy.special import gammaln
 
 from repro.core.linalg import guarded_inv, guarded_slogdet, pd_logdet, symmetrize
 from repro.core.priors import NormalWishartPrior
@@ -54,36 +52,36 @@ class GaussianParams:
         out = 0.5 * (logdet - self.mean.size * _LOG_2PI - quad)
         return out if out.size > 1 else out[:1]
 
-    @property
-    def covariance(self) -> np.ndarray:
-        """Λ⁻¹."""
-        return guarded_inv(self.precision)
-
 
 @dataclass(frozen=True)
 class GaussianStack:
-    """K Gaussians stacked for batched evaluation: means ``(K, d)``,
-    precisions ``(K, d, d)`` and their log-determinants ``(K,)``.
+    """K Gaussians stacked for batched evaluation: means ``(K, d)`` and
+    precisions ``(K, d, d)``.
 
-    Stacking and the K log-determinants are the part of
-    :func:`batch_log_density` that does not depend on ``x``; a caller
+    :func:`sample` draws one channel's K Gaussians as a stack; a caller
     that scores many vectors against fixed Gaussians (the fold-in's gel
-    topics) stacks once and calls :meth:`log_density` per vector.
+    topics) stacks them once with :meth:`of` and calls
+    :meth:`log_density` per vector, so the K log-determinants are
+    computed once.
     """
 
     means: np.ndarray
     precisions: np.ndarray
-    logdets: np.ndarray
 
     @classmethod
     def of(cls, params: Sequence[GaussianParams]) -> "GaussianStack":
-        """Stack ``params``, with one batched ``slogdet`` for all K."""
-        precisions = np.stack([p.precision for p in params])
+        """Stack ``params``."""
         return cls(
             means=np.stack([p.mean for p in params]),
-            precisions=precisions,
-            logdets=pd_logdet(precisions, "precision matrix"),
+            precisions=np.stack([p.precision for p in params]),
         )
+
+    @cached_property
+    def logdets(self) -> np.ndarray:
+        """log |Λ_k| ``(K,)``, one batched ``slogdet``, computed on first
+        use; :class:`~repro.errors.ModelError` unless every Λ_k is
+        positive definite."""
+        return pd_logdet(self.precisions, "precision matrix")
 
     def log_density(self, x: np.ndarray) -> np.ndarray:
         """log N(x_n | μ_k, Λ_k⁻¹) for every (row, topic) pair, ``(n, K)``."""
@@ -95,19 +93,17 @@ class GaussianStack:
         ).T
 
 
-def batch_log_density(
-    params: Sequence[GaussianParams], x: np.ndarray
-) -> np.ndarray:
-    """log N(x_n | μ_k, Λ_k⁻¹) for every (document, topic) pair at once.
+def batch_log_density(stack: GaussianStack, x: np.ndarray) -> np.ndarray:
+    """log N(x_n | μ_k, Λ_k⁻¹) for every (document, topic) pair at once:
+    :meth:`GaussianStack.log_density`, an ``(n, K)`` matrix.
 
-    :meth:`GaussianStack.of` then :meth:`GaussianStack.log_density`: all
-    K quadratic forms in a single einsum and all K log-determinants in
-    one batched ``slogdet``, returning an ``(n, K)`` matrix. The
-    reduction order per element matches :meth:`GaussianParams.log_density`,
-    so the result is bit-identical to the per-topic loop it replaces
-    while dispatching O(1) numpy calls instead of O(K).
+    All K quadratic forms run in a single einsum and all K
+    log-determinants in one batched ``slogdet``. The reduction order per
+    element matches :meth:`GaussianParams.log_density`, so the result is
+    bit-identical to the per-topic loop it replaces while dispatching
+    O(1) numpy calls instead of O(K).
     """
-    return GaussianStack.of(params).log_density(x)
+    return stack.log_density(x)
 
 
 def posterior(prior: NormalWishartPrior, data: np.ndarray) -> NormalWishartPrior:
@@ -144,65 +140,84 @@ def _bartlett_slots(dim: int) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray,
     return np.tril_indices(dim, k=-1), np.diag_indices(dim)
 
 
-def _wishart(
-    dof: float, scale: np.ndarray, generator: np.random.Generator
-) -> np.ndarray:
-    """Λ ~ W(ν, S) by the Bartlett decomposition Λ = (C A)(C A)ᵀ.
-
-    C is the lower Cholesky factor of S; A is lower triangular with
-    N(0, 1) entries below the diagonal and √χ²(ν − i) on it. The draws,
-    their order and the products are those of ``scipy.stats.wishart.rvs``
-    (one variate), so Λ and the generator state after it are bit-identical
-    to scipy's; only its per-call argument processing is skipped. ν > d − 1
-    is enforced by :class:`NormalWishartPrior`.
-    """
-    dim = scale.shape[0]
-    chol = scipy.linalg.cholesky(scale, lower=True)
-    tril, diag = _bartlett_slots(dim)
-    factor = np.zeros((dim, dim))
-    factor[tril] = generator.normal(size=dim * (dim - 1) // 2)
-    # scipy draws chisquare(ν − (i + 1) + 1, size=1) for each i in turn;
-    # one call on the vector of those shapes makes the same draws in the
-    # same order, and the shape expression is scipy's, so non-integer ν
-    # rounds exactly as there.
-    factor[diag] = generator.chisquare(dof - (np.arange(dim) + 1) + 1) ** 0.5
-    chol_factor = np.dot(chol, factor)
-    return np.dot(chol_factor, chol_factor.T)
-
-
 def _normal(
-    mean: np.ndarray, covariance: np.ndarray, generator: np.random.Generator
+    means: np.ndarray, covariances: np.ndarray, z: np.ndarray
 ) -> np.ndarray:
-    """x ~ N(μ, Σ), computed as ``generator.multivariate_normal(mean,
-    covariance)`` computes it with its default ``method="svd"``: one
-    ``(1, d)`` row z of standard normals, ``u, s, vh = svd(Σ)`` and
-    ``μ + z (u √s)ᵀ``. The bits and the generator state after it are
-    numpy's; only its per-call argument processing is skipped. Its PSD
-    check stays: unless ``vhᵀ diag(s) vh`` matches Σ within ``_PSD_TOL``
+    """x_k ~ N(μ_k, Σ_k) for a ``(K, d)`` / ``(K, d, d)`` stack, given
+    each draw's ``(1, d)`` row of standard normals in ``z`` ``(K, 1, d)``.
+
+    Each row is computed as ``Generator.multivariate_normal(μ_k, Σ_k)``
+    computes it with its default ``method="svd"``: ``u, s, vh = svd(Σ)``
+    and ``μ + z (u √s)ᵀ``. The stacked ``svd`` and ``matmul`` run the
+    per-matrix LAPACK and BLAS calls, so every row is numpy's to the bit
+    (an ``einsum`` of the last product is not). Its PSD check stays:
+    unless ``vhᵀ diag(s) vh`` matches Σ_k within ``_PSD_TOL``
     (``np.allclose``'s rule, elementwise, for the finite Σ that
     :func:`guarded_inv` returns), it warns as numpy does."""
-    dim = mean.shape[0]
-    z = generator.standard_normal((1, dim))
-    u, s, vh = np.linalg.svd(covariance)
-    rebuilt = np.dot(vh.T * s, vh)
+    u, s, vh = np.linalg.svd(covariances)
+    rebuilt = (np.swapaxes(vh, -1, -2) * s[:, None, :]) @ vh
     if not (
-        np.abs(rebuilt - covariance) <= _PSD_TOL + _PSD_TOL * np.abs(covariance)
+        np.abs(rebuilt - covariances) <= _PSD_TOL + _PSD_TOL * np.abs(covariances)
     ).all():
         warnings.warn(
             "covariance is not symmetric positive-semidefinite.",
             RuntimeWarning,
             stacklevel=3,
         )
-    return (mean + z @ (u * np.sqrt(s)).T).reshape(dim)
+    factors = u * np.sqrt(s)[:, None, :]
+    return (means[:, None, :] + z @ np.swapaxes(factors, -1, -2))[:, 0, :]
 
 
-def sample(nw: NormalWishartPrior, rng: RngLike = None) -> GaussianParams:
-    """Draw (μ, Λ) ~ NW(μ₀, β, ν, S)."""
+def sample(
+    posteriors: Sequence[NormalWishartPrior], rng: RngLike = None
+) -> GaussianStack:
+    """Draw (μ_k, Λ_k) ~ NW(μ₀, β, ν, S) from each of K posteriors of one
+    dimension, returned as one stack.
+
+    Λ ~ W(ν, S) by the Bartlett decomposition Λ = (C A)(C A)ᵀ: C is the
+    lower Cholesky factor of S (:attr:`NormalWishartPrior.scale_cholesky`,
+    cached on the posterior); A is lower triangular with N(0, 1) entries
+    below the diagonal and √χ²(ν − i) on it. Then μ ~ N(μ₀, (βΛ)⁻¹).
+
+    Topic by topic, in order, the random draws are those of
+    ``scipy.stats.wishart.rvs`` (one variate) followed by
+    ``Generator.multivariate_normal``: the strict-lower-triangle normals,
+    the χ² diagonal, then the mean's standard normals. Only the
+    deterministic algebra runs once on the ``(K, d, d)`` stack, with the
+    per-matrix BLAS and LAPACK calls of the one-topic form, so every Λ_k
+    and μ_k and the generator state after the call are those of K
+    per-topic draws. ν > d − 1 is enforced by :class:`NormalWishartPrior`.
+    """
     generator = ensure_rng(rng)
-    precision = _wishart(nw.dof, nw.scale, generator)
-    covariance = symmetrize(guarded_inv(nw.kappa * precision))
-    mean = _normal(nw.mean, covariance, generator)
-    return GaussianParams(mean=mean, precision=precision)
+    n_stack = len(posteriors)
+    dim = posteriors[0].dim
+    n_tril = dim * (dim - 1) // 2
+    # scipy draws chisquare(ν − (i + 1) + 1, size=1) for each i in turn;
+    # one call on the vector of those shapes makes the same draws in the
+    # same order, and the shape expression is scipy's, so non-integer ν
+    # rounds exactly as there.
+    shapes = np.array([post.dof for post in posteriors])[:, None] - (
+        np.arange(dim) + 1
+    ) + 1
+    lower = np.empty((n_stack, n_tril))
+    chisq = np.empty((n_stack, dim))
+    z = np.empty((n_stack, 1, dim))
+    for k in range(n_stack):
+        lower[k] = generator.normal(size=n_tril)
+        chisq[k] = generator.chisquare(shapes[k])
+        z[k] = generator.standard_normal((1, dim))
+    tril, diag = _bartlett_slots(dim)
+    bartlett = np.zeros((n_stack, dim, dim))
+    bartlett[:, tril[0], tril[1]] = lower
+    bartlett[:, diag[0], diag[1]] = chisq**0.5
+    chol_factors = np.stack([post.scale_cholesky for post in posteriors]) @ bartlett
+    precisions = chol_factors @ np.swapaxes(chol_factors, -1, -2)
+    kappas = np.array([post.kappa for post in posteriors])[:, None, None]
+    covariances = symmetrize(guarded_inv(kappas * precisions))
+    means = _normal(
+        np.stack([post.mean for post in posteriors]), covariances, z
+    )
+    return GaussianStack(means=means, precisions=precisions)
 
 
 def expected_params(nw: NormalWishartPrior) -> GaussianParams:
@@ -216,6 +231,8 @@ def log_predictive(nw: NormalWishartPrior, x: np.ndarray) -> float:
     t has ``ν − d + 1`` degrees of freedom, location μ₀ and scale matrix
     ``(β+1) / (β (ν − d + 1)) · S⁻¹``.
     """
+    from scipy.special import gammaln
+
     x = np.asarray(x, dtype=float)
     d = nw.dim
     dof_t = nw.dof - d + 1.0

@@ -8,6 +8,7 @@ concentration Gaussian (μ₀, β, ν, S).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -83,6 +84,15 @@ class NormalWishartPrior:
     def dim(self) -> int:
         """Dimensionality of the Gaussian."""
         return self.mean.size
+
+    @cached_property
+    def scale_cholesky(self) -> np.ndarray:
+        """Lower Cholesky factor of ``scale``, scipy's (the factor
+        ``scipy.stats.wishart`` draws with; numpy's can differ in the
+        last bit), computed on first use and kept on this object."""
+        import scipy.linalg
+
+        return scipy.linalg.cholesky(self.scale, lower=True)
 
     @classmethod
     def vague(

@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import digamma, gammaln
 
 from repro.core.linalg import guarded_inv, guarded_slogdet, symmetrize
 from repro.core.priors import DirichletPrior, NormalWishartPrior
@@ -55,6 +54,9 @@ class _NWPosterior:
     """Per-topic Normal–Wishart variational factors, vectorised over k."""
 
     def __init__(self, prior: NormalWishartPrior, n_topics: int) -> None:
+        from scipy.special import digamma, gammaln
+
+        self._digamma, self._gammaln = digamma, gammaln
         self.prior = prior
         d = prior.dim
         self.d = d
@@ -72,7 +74,7 @@ class _NWPosterior:
         for k in range(k_range):
             _, logdet = guarded_slogdet(self.W[k])
             out[k] = (
-                digamma(0.5 * (self.nu[k] - np.arange(d))).sum()
+                self._digamma(0.5 * (self.nu[k] - np.arange(d))).sum()
                 + d * np.log(2.0)
                 + logdet
             )
@@ -125,7 +127,7 @@ class _NWPosterior:
             -0.5 * nu * logdet
             - 0.5 * nu * d * np.log(2.0)
             - 0.25 * d * (d - 1) * np.log(np.pi)
-            - gammaln(0.5 * (nu - np.arange(d))).sum()
+            - self._gammaln(0.5 * (nu - np.arange(d))).sum()
         )
 
     def elbo_terms(self) -> float:
@@ -172,6 +174,8 @@ def _dirichlet_elbo(
     posterior: np.ndarray, prior: np.ndarray, e_log: np.ndarray
 ) -> float:
     """Σ rows of E[ln p(x|prior)] − E[ln q(x|posterior)]."""
+    from scipy.special import gammaln
+
     def log_c(params):
         return gammaln(params.sum(axis=-1)) - gammaln(params).sum(axis=-1)
 
@@ -207,6 +211,8 @@ class VariationalJointModel:
         rng: RngLike = None,
     ) -> "VariationalJointModel":
         """Run CAVI to convergence of the ELBO."""
+        from scipy.special import digamma
+
         cfg = self.config
         generator = ensure_rng(rng)
         gels = np.asarray(gels, dtype=float)
@@ -310,6 +316,8 @@ class VariationalJointModel:
         theta_param, phi_param, e_log_theta, e_log_phi,
         alpha, gamma, gel_q, emu_q,
     ) -> float:
+        from scipy.special import digamma
+
         # NB: e_log_theta / e_log_phi are the expectations the
         # responsibilities were computed FROM (pre-update); recompute the
         # Dirichlet expectations for the updated factors

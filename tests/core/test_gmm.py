@@ -80,3 +80,49 @@ class TestPredict:
     def test_predict_requires_fit(self):
         with pytest.raises(NotFittedError):
             BayesianGaussianMixture().predict(np.zeros((2, 2)))
+
+
+class TestSerialRegression:
+    """Pin the sampler's output for fixed seeds, in the style of the joint
+    model's pins. Captured from the per-topic draw (one ``nw.sample`` and
+    one ``log_density`` per component), before the stacked draw; any
+    drift in the random stream or the arithmetic shows up here."""
+
+    def test_three_components_pinned(self, fitted):
+        model, _, _ = fitted
+        assert model.log_likelihoods_[0] == pytest.approx(
+            -635.3550023650038, rel=1e-9
+        )
+        assert model.log_likelihoods_[-1] == pytest.approx(
+            -266.41625334253115, rel=1e-9
+        )
+        assert model.means_[1] == pytest.approx(
+            [4.8945609455601975, 0.0516387181001944], rel=1e-9
+        )
+        assert float(model.covs_[0][0, 1]) == pytest.approx(
+            0.03478863559935653, rel=1e-9
+        )
+        assert model.labels_.tolist() == [0] * 40 + [1] * 40 + [2] * 40
+
+    def test_near_empty_component_pinned(self):
+        """Four components on three blobs: component 0 keeps about one
+        point, so its posterior is at times the prior itself."""
+        data, _ = three_blobs(ensure_rng(0))
+        config = GMMConfig(n_components=4, n_sweeps=60, burn_in=30, thin=3)
+        model = BayesianGaussianMixture(config).fit(data, rng=1)
+        assert model.log_likelihoods_[0] == pytest.approx(
+            -631.1059704211411, rel=1e-9
+        )
+        assert model.log_likelihoods_[-1] == pytest.approx(
+            -265.4568543777907, rel=1e-9
+        )
+        assert model.means_[0] == pytest.approx(
+            [-0.2298219240674429, 0.6595289152920014], rel=1e-9
+        )
+        assert float(model.covs_[0][0, 1]) == pytest.approx(
+            -0.029292510962181266, rel=1e-9
+        )
+        assert float(model.weights_[0]) == pytest.approx(
+            0.008870967741935482, rel=1e-9
+        )
+        assert model.labels_.tolist() == [3] * 40 + [1] * 40 + [2] * 40

@@ -3,10 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.core import normal_wishart as nw
 from repro.core.joint_model import JointModelConfig, JointTextureTopicModel
 from repro.errors import ModelError, NotFittedError
 
 from repro.rng import ensure_rng
+
+from .test_normal_wishart import scipy_sample
 
 
 def synthetic_joint_data(rng, n_docs=90):
@@ -239,6 +242,42 @@ class TestSerialRegression:
         assert float(model.phi_[0, 0]) == pytest.approx(
             0.0016511737771308318, rel=1e-9
         )
+
+
+class TestStackedDrawFit:
+    """The fit draws each channel's K Gaussians with one stacked
+    ``nw.sample`` call; with the per-topic scipy draw patched in instead,
+    every fitted array is the same to the bit."""
+
+    @pytest.mark.parametrize("n_topics", [3, 4])
+    def test_fit_equals_per_topic_draws(self, monkeypatch, n_topics):
+        def per_topic_sample(posteriors, rng):
+            draws = [scipy_sample(post, rng) for post in posteriors]
+            return nw.GaussianStack(
+                means=np.stack([mean for _, mean in draws]),
+                precisions=np.stack([precision for precision, _ in draws]),
+            )
+
+        docs, gels, emulsions, _ = synthetic_joint_data(ensure_rng(0), n_docs=45)
+        config = JointModelConfig(
+            n_topics=n_topics, n_sweeps=12, burn_in=6, thin=2
+        )
+
+        def fit():
+            return JointTextureTopicModel(config).fit(
+                docs, gels, emulsions, 9, rng=1234
+            )
+
+        stacked = fit()
+        with monkeypatch.context() as patch:
+            patch.setattr(nw, "sample", per_topic_sample)
+            oracle = fit()
+        for name in (
+            "phi_", "theta_", "y_", "gel_means_", "gel_covs_",
+            "emulsion_means_", "emulsion_covs_",
+        ):
+            assert np.array_equal(getattr(stacked, name), getattr(oracle, name)), name
+        assert stacked.log_likelihoods_ == oracle.log_likelihoods_
 
 
 class TestBackends:

@@ -180,10 +180,13 @@ class TestDenseBitIdentity:
     def test_sweeps_match_legacy_exactly(self, rng, seed, alpha):
         """Same uniforms, same z trajectory, same counts — bitwise.
 
-        α = 1.0 exercises the fused integer-α fast path, α = 0.5 the
-        unfused fallback; both must match the legacy loop exactly.
+        α = 1.0 exercises the fused integer-α fast path, which adds the
+        M_dk term once per document, α = 0.5 the unfused fallback, which
+        adds it per topic; both must match the legacy loop exactly, with
+        empty documents in the corpus and with and without y.
         """
         docs = synthetic_docs(rng)
+        assert any(len(doc) == 0 for doc in docs)
         y = ensure_rng(seed).integers(0, 4, size=len(docs))
         dense, gen_d = _build_kernel("dense", docs, 9, 4, seed, alpha)
         legacy, gen_l = _build_kernel("legacy", docs, 9, 4, seed, alpha)

@@ -62,6 +62,21 @@ class TestDegradedPaths:
         out = guarded_inv(a)
         assert np.all(np.isfinite(out))
 
+    def test_batch_repairs_only_the_failing_matrix(self):
+        """One singular matrix in a stack: every result is the one a call
+        on that matrix alone returns, so the healthy matrices keep their
+        plain inverse instead of being ridged with the failing one."""
+        singular = np.zeros((3, 3))
+        singular[0, 0] = 1.0
+        batch = np.stack([spd(3, seed=1), singular, spd(3, seed=2)])
+        out = guarded_inv(batch)
+        for matrix, inverse in zip(batch, out):
+            np.testing.assert_array_equal(inverse, guarded_inv(matrix))
+        np.testing.assert_array_equal(
+            out[0], np.linalg.inv(batch[0])  # repro: noqa[NUM001] - reference value
+        )
+        assert np.all(np.isfinite(out[1]))
+
     def test_nonsquare_rejected(self):
         with pytest.raises(ModelError, match="square"):
             guarded_inv(np.zeros((2, 3)))

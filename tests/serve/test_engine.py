@@ -227,7 +227,8 @@ class TestServedBytes:
         for request in requests:
             gel_log = engine.features_of(request).gel_log
             loop = np.array([float(p.log_density(gel_log)[0]) for p in params])
-            assert np.array_equal(nw.batch_log_density(params, gel_log)[0], loop)
+            stack = nw.GaussianStack.of(params)
+            assert np.array_equal(nw.batch_log_density(stack, gel_log)[0], loop)
             # The stack the estimator builds once and scores every request on.
             assert np.array_equal(
                 engine.estimator._gel.log_density(gel_log)[0], loop

@@ -33,6 +33,12 @@ class TestParsing:
             ["trace", "flame", "{tmp}", "--limit", "0"],
             ["trace", "flame", "{tmp}", "--limit", "-2"],
             ["pipeline", "--recipes", "120", "--restarts", "0"],
+            ["pipeline", "--recipes", "50", "--workers", "0"],
+            ["pipeline", "--recipes", "50", "--workers", "-1"],
+            ["pipeline", "--recipes", "50", "--sweeps", "0"],
+            ["figures", "--recipes", "50", "--sweeps", "0"],
+            ["run", "--recipes", "50", "--sweeps", "0"],
+            ["report", "{tmp}", "--recipes", "50", "--sweeps", "0"],
         ],
         ids=lambda argv: f"{argv[0]}{argv[-2]}={argv[-1]}",
     )
@@ -44,6 +50,7 @@ class TestParsing:
         err = capsys.readouterr().err
         [error_line] = [line for line in err.splitlines() if "error:" in line]
         assert "must be >= 1" in error_line
+        assert f"argument {argv[-2]}:" in error_line
         assert "Traceback" not in err
 
 
